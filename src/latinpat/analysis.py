@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from typing import Sequence
 
@@ -22,11 +22,12 @@ from .construct import connolly_square
 from .enumeration import (
     EnumerationTask,
     FeasibilityError,
-    _partition,
     _run_search,
     count_column_avoiders,
     count_squares,
     default_split_depth,
+    map_tasks,
+    partition_tasks,
 )
 from .perm import Perm
 from .square import (
@@ -79,10 +80,7 @@ class WilfReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["pattern,count,class_id"]
-        for p in sorted(self.counts):
-            lines.append(f"{''.join(map(str, p))},{self.counts[p]},{self.class_id(p)}")
-        return "\n".join(lines) + "\n"
+        return wilf_csv(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,30 @@ class LambdaReport:
         }
 
     def to_csv(self) -> str:
-        head = "order,lower_bound,exact_value,witness_cap,method"
-        row = (
-            f"{self.order},{self.lower_bound},"
-            f"{'' if self.exact_value is None else self.exact_value},"
-            f"{'' if self.witness_cap is None else self.witness_cap},{self.method}"
-        )
-        return head + "\n" + row + "\n"
+        return lambda_csv(self.to_json())
+
+
+def wilf_csv(d: dict) -> str:
+    """CSV of a WilfReport.to_json() dict: one row per pattern with its class id."""
+    class_of = {}
+    for cid, cls in enumerate(d["classes"], start=1):
+        for p in cls["patterns"]:
+            class_of[p] = cid
+    lines = ["pattern,count,class_id"]
+    for p in sorted(d["counts"]):
+        lines.append(f"{p},{d['counts'][p]},{class_of[p]}")
+    return "\n".join(lines) + "\n"
+
+
+def lambda_csv(d: dict) -> str:
+    """CSV of a LambdaReport.to_json() dict: a header and one row."""
+    head = "order,lower_bound,exact_value,witness_cap,method"
+    row = (
+        f"{d['order']},{d['lower_bound']},"
+        f"{'' if d['exact_value'] is None else d['exact_value']},"
+        f"{'' if d['witness_cap'] is None else d['witness_cap']},{d['method']}"
+    )
+    return head + "\n" + row + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +159,23 @@ def lambda_witness_cap(sq: LatinSquare) -> int:
 
 def _grid_max_monotone(g: Grid, cache: dict) -> int:
     best = 0
-    for line in g:
-        v = cache.get(line)
-        if v is None:
-            v = perm.longest_monotone(line)
-            cache[line] = v
-        if v > best:
-            best = v
-    for line in zip(*g):
-        v = cache.get(line)
-        if v is None:
-            v = perm.longest_monotone(line)
-            cache[line] = v
-        if v > best:
-            best = v
+    for lines in (g, zip(*g)):
+        for line in lines:
+            v = cache.get(line)
+            if v is None:
+                v = perm.longest_monotone(line)
+                cache[line] = v
+            if v > best:
+                best = v
     return best
+
+
+def _scan_tasks(n: int, jobs: int) -> list[EnumerationTask]:
+    # One task keeps a single leaf cache for the whole scan; split only for
+    # more than one worker.
+    if jobs > 1:
+        return partition_tasks(n, EMPTY_SPEC, default_split_depth(n))
+    return [EnumerationTask(n, EMPTY_SPEC, ())]
 
 
 def _lambda_worker(task: EnumerationTask) -> tuple[int | None, Grid | None]:
@@ -189,16 +206,11 @@ def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
         )
     lower = lambda_lower_bound(n) if n >= 2 else 1
 
-    if jobs > 1:
-        tasks, _ = _partition(n, EMPTY_SPEC, default_split_depth(n))
-        value: int | None = None
-        grid: Grid | None = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for v, g in pool.map(_lambda_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4))):
-                if v is not None and (value is None or v < value):
-                    value, grid = v, g
-    else:
-        value, grid = _lambda_worker(EnumerationTask(n, EMPTY_SPEC, ()))
+    value: int | None = None
+    grid: Grid | None = None
+    for v, g in map_tasks(_lambda_worker, _scan_tasks(n, jobs), jobs):
+        if v is not None and (value is None or v < value):
+            value, grid = v, g
 
     assert value is not None and grid is not None
     if value < lower:
@@ -265,29 +277,28 @@ def _pattern_bits(k: int) -> dict[Perm, int]:
     return {p: i for i, p in enumerate(itertools.permutations(range(1, k + 1)))}
 
 
-def _line_mask(line: tuple[int, ...], k: int, bit_of: dict[Perm, int], cache: dict) -> int:
-    m = cache.get(line)
-    if m is None:
-        m = 0
-        for idx in itertools.combinations(range(len(line)), k):
-            m |= 1 << bit_of[perm.pattern_of([line[i] for i in idx])]
-        cache[line] = m
+def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
+    """Bitmask (bits from bit_of) of the length-k patterns some row or column of g contains."""
+    m = 0
+    for lines in (g, zip(*g)):
+        for line in lines:
+            lm = cache.get(line)
+            if lm is None:
+                lm = 0
+                for idx in itertools.combinations(range(len(line)), k):
+                    lm |= 1 << bit_of[perm.pattern_of([line[i] for i in idx])]
+                cache[line] = lm
+            m |= lm
     return m
 
 
-def _wilf_worker(args: tuple[EnumerationTask, int]) -> Counter:
-    task, k = args
+def _wilf_worker(task: EnumerationTask, k: int) -> Counter:
     bit_of = _pattern_bits(k)
     cache: dict = {}
     tally: Counter = Counter()
 
     def visit(g: Grid) -> None:
-        m = 0
-        for line in g:
-            m |= _line_mask(line, k, bit_of, cache)
-        for line in zip(*g):
-            m |= _line_mask(line, k, bit_of, cache)
-        tally[m] += 1
+        tally[_grid_mask(g, k, bit_of, cache)] += 1
 
     _run_search(task.order, task.spec, task.prefix, on_leaf=visit)
     return tally
@@ -329,18 +340,9 @@ def wilf_classes(
             counts[p] = count_squares(n, AvoidanceSpec.both(p), jobs=jobs).count
     else:
         bit_of = _pattern_bits(k)
-        if jobs > 1:
-            tasks, _ = _partition(n, EMPTY_SPEC, default_split_depth(n))
-            tally: Counter = Counter()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(
-                    _wilf_worker,
-                    [(t, k) for t in tasks],
-                    chunksize=max(1, len(tasks) // (jobs * 4)),
-                ):
-                    tally.update(part)
-        else:
-            tally = _wilf_worker((EnumerationTask(n, EMPTY_SPEC, ()), k))
+        tally: Counter = Counter()
+        for part in map_tasks(partial(_wilf_worker, k=k), _scan_tasks(n, jobs), jobs):
+            tally.update(part)
         for p, b in bit_of.items():
             counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)
 
@@ -420,11 +422,7 @@ def verify_triple_containment(n: int) -> dict:
 
     def visit(g: Grid) -> None:
         seen[0] += 1
-        m = 0
-        for line in g:
-            m |= _line_mask(line, 3, bit_of, cache)
-        for line in zip(*g):
-            m |= _line_mask(line, 3, bit_of, cache)
+        m = _grid_mask(g, 3, bit_of, cache)
         for bits in triples:
             flags = [(m >> b) & 1 for b in bits]
             if len(set(flags)) > 1 and len(bad) < 5:

@@ -57,10 +57,6 @@ CACHE_FILE = "cache.jsonl"
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 def _is_grid(v) -> bool:
     return (
         isinstance(v, list)
@@ -92,6 +88,20 @@ def _emit_table(obj, indent: str = "") -> None:
                 sys.stdout.write(f"{indent}- {v}\n")
     else:
         sys.stdout.write(f"{indent}{obj}\n")
+
+
+def _emit(value: dict, fmt: str, csv: Callable[[dict], str] | None = None) -> None:
+    """Write a result dict to stdout as JSON, as CSV (rendered by csv) or as a table."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(value, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        sys.stdout.write(csv(value))
+    else:
+        _emit_table(value)
+
+
+def _count_csv(value: dict) -> str:
+    return f"order,count,nodes_explored\n{value['order']},{value['count']},{value['nodes_explored']}\n"
 
 
 def _progress_emitter(args) -> Callable[[int, int], None] | None:
@@ -254,13 +264,7 @@ def _cmd_count(args) -> int:
     value = _cached(args, key, compute)
     if args.timings:
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
-    if args.format == "json":
-        _emit_json(value)
-    elif args.format == "csv":
-        sys.stdout.write("order,count,nodes_explored\n")
-        sys.stdout.write(f"{value['order']},{value['count']},{value['nodes_explored']}\n")
-    else:
-        _emit_table(value)
+    _emit(value, args.format, _count_csv)
     return EXIT_OK
 
 
@@ -286,7 +290,7 @@ def _cmd_enumerate(args) -> int:
 
 def _emit_square(sq, fmt: str) -> None:
     if fmt == "json":
-        _emit_json(square_to_json(sq))
+        _emit(square_to_json(sq), fmt)
     else:
         sys.stdout.write(serialize_square(sq))
 
@@ -310,21 +314,6 @@ def _cmd_construct_connolly(args) -> int:
     return EXIT_OK
 
 
-def _lambda_report_from_dict(value: dict, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(value)
-    elif fmt == "csv":
-        sys.stdout.write("order,lower_bound,exact_value,witness_cap,method\n")
-        sys.stdout.write(
-            f"{value['order']},{value['lower_bound']},"
-            f"{'' if value['exact_value'] is None else value['exact_value']},"
-            f"{'' if value['witness_cap'] is None else value['witness_cap']},"
-            f"{value['method']}\n"
-        )
-    else:
-        _emit_table(value)
-
-
 def _cmd_lambda(args) -> int:
     n = _check_order(args.order)
     if args.exhaustive:
@@ -332,19 +321,8 @@ def _cmd_lambda(args) -> int:
         value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(n, jobs=args.jobs).to_json())
     else:
         value = analysis.lambda_bound_report(n).to_json()
-    _lambda_report_from_dict(value, args.format)
+    _emit(value, args.format, analysis.lambda_csv)
     return EXIT_OK
-
-
-def _wilf_csv_from_dict(value: dict) -> str:
-    class_of = {}
-    for cid, cls in enumerate(value["classes"], start=1):
-        for p in cls["patterns"]:
-            class_of[p] = cid
-    lines = ["pattern,count,class_id"]
-    for p in sorted(value["counts"]):
-        lines.append(f"{p},{value['counts'][p]},{class_of[p]}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_wilf(args) -> int:
@@ -359,12 +337,7 @@ def _cmd_wilf(args) -> int:
         ).to_json()
 
     value = _cached(args, key, compute)
-    if args.format == "json":
-        _emit_json(value)
-    elif args.format == "csv":
-        sys.stdout.write(_wilf_csv_from_dict(value))
-    else:
-        _emit_table(value)
+    _emit(value, args.format, analysis.wilf_csv)
     return EXIT_OK
 
 
@@ -397,15 +370,8 @@ def _cmd_check(args) -> int:
             "contained": witness is not None,
             "witness": witness,
         }
-    if args.format == "json":
-        _emit_json(result)
-    else:
-        _emit_table(result)
+    _emit(result, args.format)
     return EXIT_OK
-
-
-def _cmd_rect_check(args) -> int:
-    return _cmd_check(args)
 
 
 def _cmd_verify(args) -> int:
@@ -418,10 +384,7 @@ def _cmd_verify(args) -> int:
         report = analysis.verify_cyclic_structure(_check_order(args.order))
     else:  # es
         report = analysis.verify_erdos_szekeres(args.p, args.q)
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        _emit_table(report)
+    _emit(report, args.format)
     return EXIT_OK if report["ok"] else EXIT_INTERNAL
 
 
@@ -508,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square", required=True)
     p.add_argument("--rectangle", required=True)
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=_cmd_rect_check)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="re-derive structural facts by enumeration; exit 1 on violation")
     vsub = p.add_subparsers(dest="what", required=True)
@@ -544,10 +507,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`latinpat enumerate ... | head`): not an
+        # error.  Point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except FeasibilityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - safety net

@@ -17,10 +17,14 @@ deterministic regardless of worker count.
 """
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .perm import PatternChecker, as_perm
 from .square import (
@@ -37,6 +41,9 @@ DEFAULT_UNRESTRICTED_BOUND = 6
 #: ceiling for the independent reduced-square cross-check search
 REDUCED_SEARCH_BOUND = 6
 
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 class FeasibilityError(Exception):
     """A request exceeds the configured desk-scale bounds."""
@@ -50,16 +57,13 @@ class CountResult:
     nodes_explored: int
     elapsed: float
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "order": self.order,
             "spec": self.spec.to_dict(),
             "count": self.count,
             "nodes_explored": self.nodes_explored,
         }
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,58 @@ def _collect_worker(task: EnumerationTask) -> list[Grid]:
     return grids
 
 
+def _worker_count(jobs: int, num_tasks: int) -> int:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
+
+
+def _run_chunk(worker: Callable[[T], R], chunk: list[T]) -> list[R]:
+    return [worker(task) for task in chunk]
+
+
+def map_tasks(
+    worker: Callable[[T], R],
+    tasks: Sequence[T],
+    jobs: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> Iterator[R]:
+    """
+    Yield worker(task) for every task, in task order, whatever the worker
+    count.  One worker runs the tasks in this process; more run them in a
+    process pool, in chunks, with a bounded number of chunks in flight so
+    results never pile up ahead of a slow consumer.  Closing the iterator
+    early cancels the queued chunks.  progress(done, total) follows each task.
+    """
+    workers = _worker_count(jobs, len(tasks))
+    total = len(tasks)
+    if workers == 1:
+        for done, task in enumerate(tasks, start=1):
+            result = worker(task)
+            if progress is not None:
+                progress(done, total)
+            yield result
+        return
+    size = max(1, total // (workers * 4))
+    chunks = (list(tasks[i:i + size]) for i in range(0, total, size))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        in_flight = deque(pool.submit(_run_chunk, worker, c) for c in islice(chunks, 2 * workers))
+        done = 0
+        while in_flight:
+            results = in_flight.popleft().result()
+            chunk = next(chunks, None)
+            if chunk is not None:
+                in_flight.append(pool.submit(_run_chunk, worker, chunk))
+            for result in results:
+                done += 1
+                if progress is not None:
+                    progress(done, total)
+                yield result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _partition(n: int, spec: AvoidanceSpec, split_depth: int) -> tuple[list[EnumerationTask], int]:
     if not 0 <= split_depth <= n * n:
         raise ValueError(f"split_depth {split_depth} outside 0..{n * n}")
@@ -248,27 +304,13 @@ def count_squares(
         split_depth = default_split_depth(n)
 
     if split_depth is None:
-        count, nodes = _run_search(n, spec)
+        tasks, nodes = [EnumerationTask(n, spec, ())], 0
     else:
         tasks, nodes = _partition(n, spec, split_depth)
-        count = 0
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (jobs * 4))
-                for idx, (c, nd) in enumerate(
-                    pool.map(_count_worker, tasks, chunksize=chunk)
-                ):
-                    count += c
-                    nodes += nd
-                    if progress is not None:
-                        progress(idx + 1, len(tasks))
-        else:
-            for idx, task in enumerate(tasks):
-                c, nd = _count_worker(task)
-                count += c
-                nodes += nd
-                if progress is not None:
-                    progress(idx + 1, len(tasks))
+    count = 0
+    for c, nd in map_tasks(_count_worker, tasks, jobs, progress):
+        count += c
+        nodes += nd
     return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
 
 
@@ -291,13 +333,14 @@ def enumerate_squares(
     order, so the visit order never depends on the worker count.
     """
     check_enumeration_bound(n, spec, max_order)
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
         return
     tasks, _ = _partition(n, spec, default_split_depth(n))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        for grids in pool.map(_collect_worker, tasks, chunksize=chunk):
+    with closing(map_tasks(_collect_worker, tasks, jobs)) as results:
+        for grids in results:
             for g in grids:
                 visitor(_trusted_square(g))
 

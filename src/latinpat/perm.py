@@ -83,23 +83,22 @@ def format_perm(p: Sequence[int]) -> str:
 # pattern containment
 # ---------------------------------------------------------------------------
 
-def _contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
+def find_occurrence(host: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
     """
-    Containment check on any sequence of distinct ints (no validation).
+    1-indexed positions of the lexicographically first subsequence of host
+    order isomorphic to pattern, or None if host avoids it.
 
-    Positional depth-first search: try to embed the pattern entries left to
-    right, pruning branches where the remaining host is too short.  The new
-    entry only has to respect its order relative to the entries already
-    matched, which is an O(k) check per extension.
+    Positional depth-first search: embed the pattern entries left to right,
+    pruning branches where the remaining host is too short.  The new entry
+    only has to respect its order relative to the entries already matched,
+    which is an O(k) check per extension.
     """
-    m = len(host)
-    k = len(pattern)
-    if k > m:
-        return False
-    if k == 1:
-        return m >= 1
-
-    # chosen[t] = host value matched to pattern[t]
+    if len(pattern) < 1:
+        raise ValueError("pattern must have length >= 1")
+    host = tuple(host)
+    pattern = tuple(pattern)
+    m, k = len(host), len(pattern)
+    # chosen[t] = host position matched to pattern[t]
     chosen: list[int] = []
 
     def extend(t: int, start: int) -> bool:
@@ -109,17 +108,17 @@ def _contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
             v = host[pos]
             ok = True
             for s in range(t):
-                if (chosen[s] < v) != (pattern[s] < pattern[t]):
+                if (host[chosen[s]] < v) != (pattern[s] < pattern[t]):
                     ok = False
                     break
             if ok:
-                chosen.append(v)
+                chosen.append(pos)
                 if extend(t + 1, pos + 1):
                     return True
                 chosen.pop()
         return False
 
-    return extend(0, 0)
+    return tuple(p + 1 for p in chosen) if extend(0, 0) else None
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -131,43 +130,11 @@ def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains((1, 3, 2, 5, 4), (3, 2, 1))
     False
     """
-    if len(pattern) < 1:
-        raise ValueError("pattern must have length >= 1")
-    return _contains(tuple(host), tuple(pattern))
+    return find_occurrence(host, pattern) is not None
 
 
 def avoids(host: Sequence[int], pattern: Sequence[int]) -> bool:
     return not contains(host, pattern)
-
-
-def find_occurrence(host: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
-    """
-    1-indexed positions of the lexicographically first subsequence of host
-    order isomorphic to pattern, or None if host avoids it.
-    """
-    if len(pattern) < 1:
-        raise ValueError("pattern must have length >= 1")
-    host = tuple(host)
-    pattern = tuple(pattern)
-    m, k = len(host), len(pattern)
-    chosen: list[int] = []
-
-    def extend(t: int, start: int) -> tuple[int, ...] | None:
-        if t == k:
-            return tuple(p + 1 for p in chosen)
-        for pos in range(start, m - (k - t) + 1):
-            v = host[pos]
-            if all(
-                (host[chosen[s]] < v) == (pattern[s] < pattern[t]) for s in range(t)
-            ):
-                chosen.append(pos)
-                found = extend(t + 1, pos + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend(0, 0)
 
 
 def pattern_of(values: Sequence[int]) -> Perm:
@@ -198,7 +165,7 @@ class PatternChecker:
     def avoids_all(self, prefix: tuple[int, ...]) -> bool:
         hit = self._cache.get(prefix)
         if hit is None:
-            hit = not any(_contains(prefix, p) for p in self.patterns)
+            hit = not any(contains(prefix, p) for p in self.patterns)
             self._cache[prefix] = hit
         return hit
 
@@ -312,7 +279,7 @@ def count_avoiding_permutations(m: int, pattern: Sequence[int]) -> int:
     if m > BRUTE_FORCE_BOUND:
         raise ValueError(f"m={m} exceeds brute-force bound {BRUTE_FORCE_BOUND}")
     pattern = as_perm(pattern)
-    return sum(1 for p in all_perms(m) if not _contains(p, pattern))
+    return sum(1 for p in all_perms(m) if not contains(p, pattern))
 
 
 def catalan(n: int) -> int:

@@ -233,15 +233,15 @@ def avoids_spec(sq: LatinSquare, spec: AvoidanceSpec) -> bool:
     """True iff every row/column/symbol permutation avoids its pattern set."""
     if spec.row_patterns:
         for line in row_permutations(sq):
-            if any(perm._contains(line, p) for p in spec.row_patterns):
+            if any(perm.contains(line, p) for p in spec.row_patterns):
                 return False
     if spec.col_patterns:
         for line in column_permutations(sq):
-            if any(perm._contains(line, p) for p in spec.col_patterns):
+            if any(perm.contains(line, p) for p in spec.col_patterns):
                 return False
     if spec.symbol_patterns:
         for line in symbol_permutations(sq):
-            if any(perm._contains(line, p) for p in spec.symbol_patterns):
+            if any(perm.contains(line, p) for p in spec.symbol_patterns):
                 return False
     return True
 
@@ -255,13 +255,12 @@ def max_monotone(sq: LatinSquare) -> int:
 # text / JSON formats
 # ---------------------------------------------------------------------------
 
-def serialize_square(sq: LatinSquare) -> str:
-    """n lines of n space-separated integers, newline-terminated."""
+def serialize_square(sq: LatinSquare | LatinRectangle) -> str:
+    """One line per row of space-separated integers, newline-terminated."""
     return "".join(" ".join(str(v) for v in row) + "\n" for row in sq.grid)
 
 
-def parse_square(text: str) -> LatinSquare:
-    """Parse the text grid format, validating the Latin property."""
+def _parse_grid(text: str) -> list[list[int]]:
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -273,7 +272,18 @@ def parse_square(text: str) -> LatinSquare:
             raise ValueError(f"malformed grid line: {line!r}") from None
     if not rows:
         raise ValueError("no grid lines found")
-    return latin_square(rows)
+    return rows
+
+
+def _json_grid(obj: dict, what: str):
+    if "grid" not in obj:
+        raise ValueError(f"{what} JSON has no 'grid' key")
+    return obj["grid"]
+
+
+def parse_square(text: str) -> LatinSquare:
+    """Parse the text grid format, validating the Latin property."""
+    return latin_square(_parse_grid(text))
 
 
 def square_to_json(sq: LatinSquare) -> dict:
@@ -281,30 +291,18 @@ def square_to_json(sq: LatinSquare) -> dict:
 
 
 def square_from_json(obj: dict) -> LatinSquare:
-    sq = latin_square(obj["grid"])
+    sq = latin_square(_json_grid(obj, "square"))
     if "order" in obj and obj["order"] != sq.order:
         raise ValueError(f"declared order {obj['order']} != grid order {sq.order}")
     return sq
 
 
-def serialize_rectangle(rect: LatinRectangle) -> str:
-    return "".join(" ".join(str(v) for v in row) + "\n" for row in rect.grid)
+serialize_rectangle = serialize_square
 
 
 def parse_rectangle(text: str) -> LatinRectangle:
     """Text grid form; the alphabet bound is taken to be the largest entry."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise ValueError(f"malformed grid line: {line!r}") from None
-    if not rows:
-        raise ValueError("no grid lines found")
-    return latin_rectangle(rows)
+    return latin_rectangle(_parse_grid(text))
 
 
 def rectangle_to_json(rect: LatinRectangle) -> dict:
@@ -317,7 +315,7 @@ def rectangle_to_json(rect: LatinRectangle) -> dict:
 
 
 def rectangle_from_json(obj: dict) -> LatinRectangle:
-    rect = latin_rectangle(obj["grid"], obj.get("alphabet_bound", 0))
+    rect = latin_rectangle(_json_grid(obj, "rectangle"), obj.get("alphabet_bound", 0))
     for key, got in (("rows", rect.rows), ("cols", rect.cols)):
         if key in obj and obj[key] != got:
             raise ValueError(f"declared {key}={obj[key]} != grid {key}={got}")

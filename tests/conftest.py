@@ -26,6 +26,15 @@ def naive_contains(host, pattern):
     )
 
 
+def naive_first_occurrence(host, pattern):
+    """1-indexed positions of the first index tuple, in itertools.combinations order, matching the pattern."""
+    pattern = tuple(pattern)
+    for idx in itertools.combinations(range(len(host)), len(pattern)):
+        if pattern_of([host[i] for i in idx]) == pattern:
+            return tuple(i + 1 for i in idx)
+    return None
+
+
 def naive_longest_monotone(seq):
     """Longest monotone subsequence by scanning every subset, longest first."""
     n = len(seq)

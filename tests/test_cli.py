@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from latinpat import cli
 from latinpat.cli import main
 from latinpat.construct import connolly_square
 from latinpat.square import serialize_square
@@ -322,3 +329,114 @@ def test_cache_respects_spec_digest(tmp_path, capsys):
     assert json.loads(out)["count"] == 4
     lines = (tmp_path / "cache.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2  # different specs cache separately
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_invalid(capsys, jobs):
+    code, out, err = run(capsys, "count", "--order", "3", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_into_closed_pipe_exits_quietly(jobs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latinpat", "enumerate", "--order", "5", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert json.loads(first)["order"] == 5
+
+
+def test_json_square_without_grid_is_invalid(tmp_path, capsys):
+    f = tmp_path / "sq.json"
+    f.write_text(json.dumps({"order": 2}))
+    code, _, err = run(capsys, "check", "--square", str(f), "--pattern", "12")
+    assert code == 2
+    assert "grid" in err
+
+
+def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    code, _, err = run(capsys, "verify", "es", "--p", "1", "--q", "1")
+    assert code == 1
+    assert "internal error" in err
+
+
+# ---------------------------------------------------------------------------
+# stdout goldens, recorded before the renderers were merged
+# ---------------------------------------------------------------------------
+
+GOLDEN = {
+    ("count", "--order", "3", "--format", "json"):
+        '{"count": 12, "nodes_explored": 111, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
+    ("count", "--order", "3", "--format", "csv"):
+        "order,count,nodes_explored\n3,12,111\n",
+    ("count", "--order", "3", "--format", "table"):
+        "order: 3\nspec:\n  rows:\n  cols:\n  symbols:\ncount: 12\nnodes_explored: 111\n",
+    ("wilf", "--length", "3", "--order", "4", "--format", "json"):
+        '{"classes": [{"count": 4, "patterns": ["123", "132", "213", "231", "312", "321"]}], '
+        '"counts": {"123": 4, "132": 4, "213": 4, "231": 4, "312": 4, "321": 4}, '
+        '"mode": "filter", "num_classes": 1, "order": 4, "pattern_length": 3}\n',
+    ("wilf", "--length", "3", "--order", "4", "--format", "csv"):
+        "pattern,count,class_id\n123,4,1\n132,4,1\n213,4,1\n231,4,1\n312,4,1\n321,4,1\n",
+    ("wilf", "--length", "3", "--order", "4", "--format", "table"):
+        "pattern_length: 3\norder: 4\nmode: filter\nnum_classes: 1\ncounts:\n"
+        "  123: 4\n  132: 4\n  213: 4\n  231: 4\n  312: 4\n  321: 4\n"
+        "classes:\n    count: 4\n    patterns:\n"
+        "      - 123\n      - 132\n      - 213\n      - 231\n      - 312\n      - 321\n",
+    ("lambda", "--order", "3", "--exhaustive", "--format", "json"):
+        '{"exact_value": 3, "lower_bound": 2, "method": "exhaustive", "order": 3, '
+        '"witness": {"grid": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "order": 3}, "witness_cap": 3}\n',
+    ("lambda", "--order", "3", "--exhaustive", "--format", "csv"):
+        "order,lower_bound,exact_value,witness_cap,method\n3,2,3,3,exhaustive\n",
+    ("lambda", "--order", "3", "--exhaustive", "--format", "table"):
+        "order: 3\nlower_bound: 2\nexact_value: 3\nwitness_cap: 3\nmethod: exhaustive\n"
+        "witness:\n  order: 3\n  grid:\n    1 2 3\n    2 3 1\n    3 1 2\n",
+    ("lambda", "--order", "9", "--bounds", "--format", "csv"):
+        "order,lower_bound,exact_value,witness_cap,method\n9,4,4,4,witness-capped\n",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_stdout_golden(capsys, argv, jobs):
+    code, out, _ = run(capsys, *argv, "--jobs", jobs)
+    assert code == 0
+    assert out == GOLDEN[argv]
+
+
+def test_check_and_rect_check_table_golden(tmp_path, capsys):
+    sq = tmp_path / "sq.txt"
+    sq.write_text(serialize_square(connolly_square(3)))
+    rect = tmp_path / "rect.txt"
+    rect.write_text("3 4 2\n1 3 4\n")
+    code, out, _ = run(capsys, "check", "--square", str(sq), "--pattern", "123", "--format", "table")
+    assert code == 0
+    assert out == (
+        "order: 9\npattern: 123\ncontained: True\nwitness:\n  line_kind: row\n"
+        "  line_index: 1\n  positions:\n    - 1\n    - 2\n    - 3\n"
+    )
+    code, out, _ = run(
+        capsys, "rect-check", "--square", str(sq), "--rectangle", str(rect), "--format", "table"
+    )
+    assert code == 0
+    assert out == (
+        "order: 9\npattern_rows: 2\npattern_cols: 3\ncontained: True\nwitness:\n"
+        "  rows:\n    - 2\n    - 7\n  cols:\n    - 1\n    - 5\n    - 9\n"
+    )

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -6,11 +7,13 @@ from latinpat import construct
 from latinpat.enumeration import (
     EnumerationTask,
     FeasibilityError,
+    _worker_count,
     count_column_avoiders,
     count_reduced_squares,
     count_squares,
     enumerate_squares,
     enumerate_with_first_row,
+    map_tasks,
     partition_tasks,
 )
 from latinpat.square import (
@@ -141,6 +144,33 @@ def test_parallel_enumerate_order(squares4):
     got = []
     enumerate_squares(4, EMPTY_SPEC, got.append, jobs=4)
     assert got == squares4
+
+
+def test_worker_count_is_clamped_to_tasks_and_cpus():
+    # computed only: no pool of this size is ever started
+    assert 1 <= _worker_count(10**6, 3) <= 3
+    assert _worker_count(10**6, 10**6) <= (os.cpu_count() or 1)
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(4, 0) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        _worker_count(jobs, 10)
+    with pytest.raises(ValueError, match="jobs"):
+        list(map_tasks(abs, [1, 2], jobs))
+    with pytest.raises(ValueError, match="jobs"):
+        count_squares(3, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        enumerate_squares(3, EMPTY_SPEC, lambda sq: None, jobs=jobs)
+
+
+def test_map_tasks_keeps_task_order_and_reports_progress():
+    seen = []
+    got = list(map_tasks(abs, list(range(-40, 0)), 2, lambda done, total: seen.append((done, total))))
+    assert got == list(range(40, 0, -1))
+    assert seen == [(i, 40) for i in range(1, 41)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from latinpat.perm import (
     reverse,
 )
 
-from conftest import S3, S4, naive_contains, naive_longest_monotone, perms
+from conftest import S3, S4, naive_contains, naive_first_occurrence, naive_longest_monotone, perms
 
 
 def rand_perm(max_len=7):
@@ -109,6 +109,13 @@ def test_find_occurrence_positions():
     assert find_occurrence((1, 3, 2, 5, 4), (3, 2, 1)) is None
     pos = find_occurrence((3, 6, 9, 2, 5, 8, 1, 4, 7), (1, 2, 3))
     assert pos == (1, 2, 3)
+
+
+def test_find_occurrence_is_lexicographically_first():
+    for m in range(1, 7):
+        for host in perms(m):
+            for q in S3 + S4:
+                assert find_occurrence(host, q) == naive_first_occurrence(host, q), (host, q)
 
 
 @settings(max_examples=100)
