@@ -170,16 +170,7 @@ def _grid_max_monotone(g: Grid, cache: dict) -> int:
     return best
 
 
-def _scan_tasks(n: int, jobs: int) -> list[EnumerationTask]:
-    # One task keeps a single leaf cache for the whole scan; split only for
-    # more than one worker.
-    if jobs > 1:
-        return partition_tasks(n, EMPTY_SPEC, default_split_depth(n))
-    return [EnumerationTask(n, EMPTY_SPEC, ())]
-
-
-def _lambda_worker(task: EnumerationTask) -> tuple[int | None, Grid | None]:
-    cache: dict = {}
+def _lambda_worker(task: EnumerationTask, cache: dict) -> tuple[int | None, Grid | None]:
     best: list = [None, None]
 
     def visit(g: Grid) -> None:
@@ -208,7 +199,8 @@ def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
 
     value: int | None = None
     grid: Grid | None = None
-    for v, g in map_tasks(_lambda_worker, _scan_tasks(n, jobs), jobs):
+    worker = partial(_lambda_worker, cache={})
+    for v, g in map_tasks(worker, partition_tasks(n, EMPTY_SPEC, default_split_depth(n)), jobs):
         if v is not None and (value is None or v < value):
             value, grid = v, g
 
@@ -292,9 +284,8 @@ def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
     return m
 
 
-def _wilf_worker(task: EnumerationTask, k: int) -> Counter:
+def _wilf_worker(task: EnumerationTask, k: int, cache: dict) -> Counter:
     bit_of = _pattern_bits(k)
-    cache: dict = {}
     tally: Counter = Counter()
 
     def visit(g: Grid) -> None:
@@ -341,7 +332,8 @@ def wilf_classes(
     else:
         bit_of = _pattern_bits(k)
         tally: Counter = Counter()
-        for part in map_tasks(partial(_wilf_worker, k=k), _scan_tasks(n, jobs), jobs):
+        worker = partial(_wilf_worker, k=k, cache={})
+        for part in map_tasks(worker, partition_tasks(n, EMPTY_SPEC, default_split_depth(n)), jobs):
             tally.update(part)
         for p, b in bit_of.items():
             counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)

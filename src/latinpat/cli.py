@@ -27,12 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, analysis, construct, rectpat
-from .enumeration import (
-    FeasibilityError,
-    count_squares,
-    default_split_depth,
-    enumerate_squares,
-)
+from .enumeration import FeasibilityError, count_squares, enumerate_squares
 from .perm import find_occurrence, parse_perm
 from .square import (
     AvoidanceSpec,
@@ -250,14 +245,7 @@ def _cmd_count(args) -> int:
     t0 = time.perf_counter()
 
     def compute() -> dict:
-        result = count_squares(
-            n,
-            spec,
-            jobs=args.jobs,
-            split_depth=default_split_depth(n),
-            max_order=args.max_order,
-            progress=progress,
-        )
+        result = count_squares(n, spec, jobs=args.jobs, max_order=args.max_order, progress=progress)
         return result.to_dict()
 
     key = {"op": "count", "order": n, "spec": _spec_digest(spec)}

@@ -11,9 +11,11 @@ in this fill order and are checked at the leaves instead.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
-The search space can be partitioned into disjoint prefix subtrees for
-parallel workers; merging per-task results in task order keeps every output
-deterministic regardless of worker count.
+Every scan is cut at the first row into disjoint prefix subtrees, one task
+each, whatever the worker count; merging per-task results in task order
+keeps every output, node counts included, the same for any worker count.
+The pattern checkers are made once per call and shared by all of that
+call's tasks in a process, so the split costs no extra containment checks.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -92,6 +95,17 @@ def check_enumeration_bound(n: int, spec: AvoidanceSpec, max_order: int | None =
         )
 
 
+Checkers = tuple[PatternChecker | None, PatternChecker | None, PatternChecker | None]
+
+
+def _spec_checkers(spec: AvoidanceSpec) -> Checkers:
+    """The (row, column, symbol) pattern checkers of a spec; None where it has no patterns."""
+    return tuple(
+        PatternChecker(ps) if ps else None
+        for ps in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns)
+    )
+
+
 def _run_search(
     n: int,
     spec: AvoidanceSpec,
@@ -100,6 +114,7 @@ def _run_search(
     stop_depth: int | None = None,
     on_leaf: Callable[[Grid], None] | None = None,
     on_prefix: Callable[[tuple[int, ...]], None] | None = None,
+    checkers: Checkers | None = None,
 ) -> tuple[int, int]:
     """
     Core backtracker.  Returns (hits, nodes).
@@ -107,7 +122,9 @@ def _run_search(
     With stop_depth=None, hits counts completed squares (on_leaf sees each
     grid).  With stop_depth=d, the search stops at depth d and hits counts
     the surviving prefixes (on_prefix sees each one).  A node is a cell
-    placement that passed the occupancy masks, counted before pattern checks.
+    placement that passed the occupancy masks, counted before pattern checks;
+    the cells of prefix are placed and checked like any other.  checkers,
+    from _spec_checkers(spec), lets several searches share one set of caches.
     """
     total_cells = n * n
     full = (1 << n) - 1
@@ -115,9 +132,7 @@ def _run_search(
     row_free = [full] * n
     col_free = [full] * n
 
-    row_checker = PatternChecker(spec.row_patterns) if spec.row_patterns else None
-    col_checker = PatternChecker(spec.col_patterns) if spec.col_patterns else None
-    sym_checker = PatternChecker(spec.symbol_patterns) if spec.symbol_patterns else None
+    row_checker, col_checker, sym_checker = checkers or _spec_checkers(spec)
     row_min = min((len(p) for p in spec.row_patterns), default=0)
     col_min = min((len(p) for p in spec.col_patterns), default=0)
 
@@ -128,25 +143,9 @@ def _run_search(
     nodes = 0
     hits = 0
 
-    if len(prefix) > stop_at:
+    forced = len(prefix)
+    if forced > stop_at:
         raise ValueError("prefix longer than the search depth")
-    for k, s in enumerate(prefix):
-        i, j = divmod(k, n)
-        bit = 1 << (s - 1)
-        if not (row_free[i] & bit and col_free[j] & bit):
-            raise ValueError(
-                f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
-            )
-        grid[i][j] = s
-        row_free[i] ^= bit
-        col_free[j] ^= bit
-        nodes += 1
-        if row_checker and j + 1 >= row_min:
-            if not row_checker.avoids_all(tuple(grid[i][: j + 1])):
-                return 0, nodes
-        if col_checker and i + 1 >= col_min:
-            if not col_checker.avoids_all(tuple(grid[r][j] for r in range(i + 1))):
-                return 0, nodes
 
     def accept() -> None:
         nonlocal hits
@@ -177,6 +176,14 @@ def _run_search(
         i, j = divmod(k, n)
         row = grid[i]
         avail = row_free[i] & col_free[j]
+        if k < forced:
+            s = prefix[k]
+            bit = 1 << (s - 1)
+            if not avail & bit:
+                raise ValueError(
+                    f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
+                )
+            avail = bit
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -194,17 +201,17 @@ def _run_search(
             row_free[i] ^= bit
             col_free[j] ^= bit
 
-    descend(len(prefix))
+    descend(0)
     return hits, nodes
 
 
-def _count_worker(task: EnumerationTask) -> tuple[int, int]:
-    return _run_search(task.order, task.spec, task.prefix)
+def _count_worker(task: EnumerationTask, checkers: Checkers) -> tuple[int, int]:
+    return _run_search(task.order, task.spec, task.prefix, checkers=checkers)
 
 
-def _collect_worker(task: EnumerationTask) -> list[Grid]:
+def _collect_worker(task: EnumerationTask, checkers: Checkers) -> list[Grid]:
     grids: list[Grid] = []
-    _run_search(task.order, task.spec, task.prefix, on_leaf=grids.append)
+    _run_search(task.order, task.spec, task.prefix, on_leaf=grids.append, checkers=checkers)
     return grids
 
 
@@ -260,11 +267,15 @@ def map_tasks(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _partition(n: int, spec: AvoidanceSpec, split_depth: int) -> tuple[list[EnumerationTask], int]:
+def _partition(
+    n: int, spec: AvoidanceSpec, split_depth: int, checkers: Checkers | None = None
+) -> tuple[list[EnumerationTask], int]:
     if not 0 <= split_depth <= n * n:
         raise ValueError(f"split_depth {split_depth} outside 0..{n * n}")
     prefixes: list[tuple[int, ...]] = []
-    _, nodes = _run_search(n, spec, stop_depth=split_depth, on_prefix=prefixes.append)
+    _, nodes = _run_search(
+        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, checkers=checkers
+    )
     tasks = [EnumerationTask(n, spec, p) for p in prefixes]
     return tasks, nodes
 
@@ -278,7 +289,7 @@ def partition_tasks(n: int, spec: AvoidanceSpec, split_depth: int) -> list[Enume
 
 
 def default_split_depth(n: int) -> int:
-    """Partition boundary used by parallel runs: the whole first row."""
+    """Partition boundary of every scan: the whole first row."""
     return n
 
 
@@ -294,21 +305,19 @@ def count_squares(
     """
     Count order-n Latin squares satisfying the avoidance spec.
 
-    With split_depth set (or jobs > 1), the space is partitioned into prefix
-    tasks and per-task counts are summed in task order, so the result is
+    The space is always partitioned into prefix tasks, at split_depth cells
+    (default: the first row; 0 gives one task), and per-task counts are
+    summed in task order, so the result, nodes_explored included, is
     byte-identical for any worker count.
     """
     check_enumeration_bound(n, spec, max_order)
     t0 = time.perf_counter()
-    if split_depth is None and jobs > 1:
-        split_depth = default_split_depth(n)
-
     if split_depth is None:
-        tasks, nodes = [EnumerationTask(n, spec, ())], 0
-    else:
-        tasks, nodes = _partition(n, spec, split_depth)
+        split_depth = default_split_depth(n)
+    checkers = _spec_checkers(spec)
+    tasks, nodes = _partition(n, spec, split_depth, checkers)
     count = 0
-    for c, nd in map_tasks(_count_worker, tasks, jobs, progress):
+    for c, nd in map_tasks(partial(_count_worker, checkers=checkers), tasks, jobs, progress):
         count += c
         nodes += nd
     return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
@@ -329,17 +338,21 @@ def enumerate_squares(
 ) -> None:
     """
     Invoke visitor exactly once per satisfying square, in lexicographic order
-    of the row-major grid.  Parallel runs buffer per task and replay in task
-    order, so the visit order never depends on the worker count.
+    of the row-major grid.  One job streams squares straight from the search;
+    more buffer per first-row task and replay in task order, so the visit
+    order never depends on the worker count.
     """
     check_enumeration_bound(n, spec, max_order)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
+        # a first-row task of unrestricted order 6 alone holds ~1.13M squares
         _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
         return
-    tasks, _ = _partition(n, spec, default_split_depth(n))
-    with closing(map_tasks(_collect_worker, tasks, jobs)) as results:
+    checkers = _spec_checkers(spec)
+    tasks, _ = _partition(n, spec, default_split_depth(n), checkers)
+    worker = partial(_collect_worker, checkers=checkers)
+    with closing(map_tasks(worker, tasks, jobs)) as results:
         for grids in results:
             for g in grids:
                 visitor(_trusted_square(g))

@@ -13,6 +13,7 @@ enumeration engine never hands out an unvalidated grid.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +24,11 @@ Grid = tuple[tuple[int, ...], ...]
 
 
 def _freeze_grid(rows: Iterable[Sequence[int]]) -> Grid:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    # index() takes ints and int-likes but refuses floats and digit strings
+    try:
+        return tuple(tuple(operator.index(x) for x in row) for row in rows)
+    except TypeError as exc:
+        raise ValueError(f"grid must be a list of rows of integers ({exc})") from None
 
 
 @dataclass(frozen=True)

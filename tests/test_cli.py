@@ -368,6 +368,15 @@ def test_json_square_without_grid_is_invalid(tmp_path, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grid", [5, [[1, 2], [2, None]], [1, 2], [[1.5, 2], [2, 1]], ["12", "21"]])
+def test_json_square_with_malformed_grid_is_invalid(tmp_path, capsys, grid):
+    f = tmp_path / "sq.json"
+    f.write_text(json.dumps({"grid": grid}))
+    code, _, err = run(capsys, "check", "--square", str(f), "--pattern", "12")
+    assert code == 2
+    assert "grid" in err
+
+
 def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
     def broken(args):
         raise KeyError("internal")

@@ -1,12 +1,15 @@
+import json
 import math
 import os
 
 import pytest
 
-from latinpat import construct
+from latinpat import construct, perm
+from latinpat.cli import main
 from latinpat.enumeration import (
     EnumerationTask,
     FeasibilityError,
+    _run_search,
     _worker_count,
     count_column_avoiders,
     count_reduced_squares,
@@ -138,6 +141,42 @@ def test_parallel_count_matches_serial():
     parallel = count_squares(4, jobs=4, split_depth=4)
     assert parallel.count == serial.count == 576
     assert parallel.nodes_explored == serial.nodes_explored
+
+
+@pytest.mark.parametrize("n,spec,cli_args,nodes", [
+    (4, EMPTY_SPEC, [], 5776),
+    (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 28612),
+])
+def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, capsys):
+    assert count_squares(n, spec, jobs=1).nodes_explored == nodes
+    assert count_squares(n, spec, jobs=2).nodes_explored == nodes
+    assert main(["count", "--order", str(n), "--jobs", "1", *cli_args]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
+
+
+def test_split_shares_checker_caches(monkeypatch):
+    # the first-row tasks of one call share its checkers, so splitting makes
+    # no more containment checks than the one-task run
+    calls = [0]
+    contains = perm.contains
+
+    def counted(host, pattern):
+        calls[0] += 1
+        return contains(host, pattern)
+
+    monkeypatch.setattr(perm, "contains", counted)
+    spec = AvoidanceSpec.both((1, 2, 3, 4))
+    per_depth = []
+    for depth in (0, 5):
+        calls[0] = 0
+        assert count_squares(5, spec, split_depth=depth).count == 26928
+        per_depth.append(calls[0])
+    assert per_depth[0] == per_depth[1] > 0
+
+
+def test_search_rejects_prefix_that_is_not_latin():
+    with pytest.raises(ValueError, match="not Latin"):
+        _run_search(3, EMPTY_SPEC, (1, 2, 3, 1))
 
 
 def test_parallel_enumerate_order(squares4):
