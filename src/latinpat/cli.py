@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, analysis, construct, rectpat
-from .enumeration import FeasibilityError, count_squares, enumerate_squares
+from .enumeration import ENGINE_VERSION, FeasibilityError, count_squares, enumerate_squares
 from .perm import find_occurrence, parse_perm
 from .square import (
     AvoidanceSpec,
@@ -248,7 +248,7 @@ def _cmd_count(args) -> int:
         result = count_squares(n, spec, jobs=args.jobs, max_order=args.max_order, progress=progress)
         return result.to_dict()
 
-    key = {"op": "count", "order": n, "spec": _spec_digest(spec)}
+    key = {"op": "count", "order": n, "spec": _spec_digest(spec), "engine": ENGINE_VERSION}
     value = _cached(args, key, compute)
     if args.timings:
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")

@@ -3,19 +3,27 @@ Exhaustive backtracking enumeration of Latin squares with online
 pattern-avoidance pruning.
 
 The search fills the grid row-major, cell by cell, with per-row and
-per-column occupancy bitmasks.  After each placement the completed prefix of
-the cell's row (and column) is tested against the avoidance spec: pattern
-containment in a prefix is monotone under extension, so a containing prefix
-cuts the whole subtree.  Symbol-pattern constraints are not prefix-monotone
-in this fill order and are checked at the leaves instead.
+per-column occupancy bitmasks.  Row and column patterns are compiled once
+per call into prefix automata (perm.prefix_automaton): each row and each
+column keeps one automaton state, and a placement costs one table lookup
+per line.  A line's state goes DEAD as soon as its prefix contains a
+pattern or can no longer be completed to an avoiding permutation of 1..n,
+and nothing below a dead prefix is searched.  Symbol-pattern constraints
+are not prefix-monotone in this fill order and are checked at the leaves,
+by running each symbol permutation through its automaton.  A spec with no
+row or column patterns runs a loop that keeps no automaton states.
+
+A node is a cell placement that passed the occupancy masks, counted before
+the automaton check, so nodes_explored counts the placements tried below
+live prefixes.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 Every scan is cut at the first row into disjoint prefix subtrees, one task
 each, whatever the worker count; merging per-task results in task order
 keeps every output, node counts included, the same for any worker count.
-The pattern checkers are made once per call and shared by all of that
-call's tasks in a process, so the split costs no extra containment checks.
+The automata are compiled once per call and shared by all of that call's
+tasks, so the split costs no extra containment checks.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .perm import PatternChecker, as_perm
+from .perm import DEAD, PrefixAutomaton, as_perm, prefix_automaton
 from .square import (
     EMPTY_SPEC,
     AvoidanceSpec,
@@ -37,6 +45,10 @@ from .square import (
     LatinSquare,
     _trusted_square,
 )
+
+#: version of the engine's answers, nodes_explored included: cached counts
+#: are keyed by it, so a change to any answer must raise it
+ENGINE_VERSION = 2
 
 #: hard default ceiling for enumeration whose spec prunes nothing
 DEFAULT_UNRESTRICTED_BOUND = 6
@@ -95,15 +107,25 @@ def check_enumeration_bound(n: int, spec: AvoidanceSpec, max_order: int | None =
         )
 
 
-Checkers = tuple[PatternChecker | None, PatternChecker | None, PatternChecker | None]
+Automata = tuple[PrefixAutomaton | None, PrefixAutomaton | None, PrefixAutomaton | None]
 
 
-def _spec_checkers(spec: AvoidanceSpec) -> Checkers:
-    """The (row, column, symbol) pattern checkers of a spec; None where it has no patterns."""
-    return tuple(
-        PatternChecker(ps) if ps else None
-        for ps in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns)
-    )
+def _spec_automata(n: int, spec: AvoidanceSpec) -> Automata:
+    """
+    The (row, column, symbol) prefix automata of a spec at order n; None
+    where it has no pattern of length at most n.
+    """
+    automata = []
+    for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
+        short = [p for p in patterns if len(p) <= n]
+        automata.append(prefix_automaton(n, short) if short else None)
+    return tuple(automata)
+
+
+def _free_automaton(n: int) -> PrefixAutomaton:
+    # One live state that takes every symbol: the lines of a side with no
+    # patterns, whose repeats the occupancy masks already exclude.
+    return PrefixAutomaton(((DEAD,) * (n + 1), (DEAD,) + (1,) * n), (0, (1 << n) - 1), 1)
 
 
 def _run_search(
@@ -114,7 +136,7 @@ def _run_search(
     stop_depth: int | None = None,
     on_leaf: Callable[[Grid], None] | None = None,
     on_prefix: Callable[[tuple[int, ...]], None] | None = None,
-    checkers: Checkers | None = None,
+    automata: Automata | None = None,
 ) -> tuple[int, int]:
     """
     Core backtracker.  Returns (hits, nodes).
@@ -122,9 +144,14 @@ def _run_search(
     With stop_depth=None, hits counts completed squares (on_leaf sees each
     grid).  With stop_depth=d, the search stops at depth d and hits counts
     the surviving prefixes (on_prefix sees each one).  A node is a cell
-    placement that passed the occupancy masks, counted before pattern checks;
-    the cells of prefix are placed and checked like any other.  checkers,
-    from _spec_checkers(spec), lets several searches share one set of caches.
+    placement that passed the occupancy masks, counted before the automaton
+    check; the cells of prefix are placed and checked like any other.
+    automata, from _spec_automata(n, spec), lets several searches share one
+    compilation.
+
+    Each row and each column keeps its prefix automaton state, and a
+    placement survives only while both stay alive.  A spec without row or
+    column patterns runs a loop with no states at all.
     """
     total_cells = n * n
     full = (1 << n) - 1
@@ -132,9 +159,7 @@ def _run_search(
     row_free = [full] * n
     col_free = [full] * n
 
-    row_checker, col_checker, sym_checker = checkers or _spec_checkers(spec)
-    row_min = min((len(p) for p in spec.row_patterns), default=0)
-    col_min = min((len(p) for p in spec.col_patterns), default=0)
+    row_auto, col_auto, sym_auto = automata or _spec_automata(n, spec)
 
     stop_at = total_cells if stop_depth is None else stop_depth
     if not 0 <= stop_at <= total_cells:
@@ -154,7 +179,7 @@ def _run_search(
             if on_prefix is not None:
                 on_prefix(tuple(grid[k // n][k % n] for k in range(stop_at)))
             return
-        if sym_checker:
+        if sym_auto:
             # symbol k's permutation: row index -> column holding k
             sym = [[0] * n for _ in range(n)]
             for i in range(n):
@@ -162,11 +187,20 @@ def _run_search(
                 for j in range(n):
                     sym[row[j] - 1][i] = j + 1
             for p in sym:
-                if not sym_checker.avoids_all(tuple(p)):
+                if not sym_auto.run(p):
                     return
         hits += 1
         if on_leaf is not None:
             on_leaf(tuple(tuple(r) for r in grid))
+
+    def forced_bit(k: int, i: int, j: int, avail: int) -> int:
+        s = prefix[k]
+        bit = 1 << (s - 1)
+        if not avail & bit:
+            raise ValueError(
+                f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
+            )
+        return bit
 
     def descend(k: int) -> None:
         nonlocal nodes
@@ -177,41 +211,71 @@ def _run_search(
         row = grid[i]
         avail = row_free[i] & col_free[j]
         if k < forced:
-            s = prefix[k]
-            bit = 1 << (s - 1)
-            if not avail & bit:
-                raise ValueError(
-                    f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
-                )
-            avail = bit
+            avail = forced_bit(k, i, j, avail)
         while avail:
             bit = avail & -avail
             avail ^= bit
             nodes += 1
             row[j] = bit.bit_length()
-            if row_checker and j + 1 >= row_min:
-                if not row_checker.avoids_all(tuple(row[: j + 1])):
-                    continue
-            if col_checker and i + 1 >= col_min:
-                if not col_checker.avoids_all(tuple(grid[r][j] for r in range(i + 1))):
-                    continue
             row_free[i] ^= bit
             col_free[j] ^= bit
             descend(k + 1)
             row_free[i] ^= bit
             col_free[j] ^= bit
 
-    descend(0)
+    if row_auto is None and col_auto is None:
+        descend(0)
+        return hits, nodes
+
+    row_auto = row_auto or _free_automaton(n)
+    col_auto = col_auto or _free_automaton(n)
+    row_next, row_live = row_auto.next, row_auto.live
+    col_next, col_live = col_auto.next, col_auto.live
+    row_state = [row_auto.root] * n
+    col_state = [col_auto.root] * n
+
+    def descend_live(k: int) -> None:
+        nonlocal nodes
+        if k == stop_at:
+            accept()
+            return
+        i, j = divmod(k, n)
+        row = grid[i]
+        avail = row_free[i] & col_free[j]
+        if k < forced:
+            avail = forced_bit(k, i, j, avail)
+        nodes += avail.bit_count()
+        rs = row_state[i]
+        cs = col_state[j]
+        avail &= row_live[rs] & col_live[cs]
+        r_next = row_next[rs]
+        c_next = col_next[cs]
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            s = bit.bit_length()
+            row[j] = s
+            row_state[i] = r_next[s]
+            col_state[j] = c_next[s]
+            row_free[i] ^= bit
+            col_free[j] ^= bit
+            descend_live(k + 1)
+            row_free[i] ^= bit
+            col_free[j] ^= bit
+        row_state[i] = rs
+        col_state[j] = cs
+
+    descend_live(0)
     return hits, nodes
 
 
-def _count_worker(task: EnumerationTask, checkers: Checkers) -> tuple[int, int]:
-    return _run_search(task.order, task.spec, task.prefix, checkers=checkers)
+def _count_worker(task: EnumerationTask, automata: Automata) -> tuple[int, int]:
+    return _run_search(task.order, task.spec, task.prefix, automata=automata)
 
 
-def _collect_worker(task: EnumerationTask, checkers: Checkers) -> list[Grid]:
+def _collect_worker(task: EnumerationTask, automata: Automata) -> list[Grid]:
     grids: list[Grid] = []
-    _run_search(task.order, task.spec, task.prefix, on_leaf=grids.append, checkers=checkers)
+    _run_search(task.order, task.spec, task.prefix, on_leaf=grids.append, automata=automata)
     return grids
 
 
@@ -268,13 +332,13 @@ def map_tasks(
 
 
 def _partition(
-    n: int, spec: AvoidanceSpec, split_depth: int, checkers: Checkers | None = None
+    n: int, spec: AvoidanceSpec, split_depth: int, automata: Automata | None = None
 ) -> tuple[list[EnumerationTask], int]:
     if not 0 <= split_depth <= n * n:
         raise ValueError(f"split_depth {split_depth} outside 0..{n * n}")
     prefixes: list[tuple[int, ...]] = []
     _, nodes = _run_search(
-        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, checkers=checkers
+        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata
     )
     tasks = [EnumerationTask(n, spec, p) for p in prefixes]
     return tasks, nodes
@@ -314,10 +378,10 @@ def count_squares(
     t0 = time.perf_counter()
     if split_depth is None:
         split_depth = default_split_depth(n)
-    checkers = _spec_checkers(spec)
-    tasks, nodes = _partition(n, spec, split_depth, checkers)
+    automata = _spec_automata(n, spec)
+    tasks, nodes = _partition(n, spec, split_depth, automata)
     count = 0
-    for c, nd in map_tasks(partial(_count_worker, checkers=checkers), tasks, jobs, progress):
+    for c, nd in map_tasks(partial(_count_worker, automata=automata), tasks, jobs, progress):
         count += c
         nodes += nd
     return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
@@ -349,9 +413,9 @@ def enumerate_squares(
         # a first-row task of unrestricted order 6 alone holds ~1.13M squares
         _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
         return
-    checkers = _spec_checkers(spec)
-    tasks, _ = _partition(n, spec, default_split_depth(n), checkers)
-    worker = partial(_collect_worker, checkers=checkers)
+    automata = _spec_automata(n, spec)
+    tasks, _ = _partition(n, spec, default_split_depth(n), automata)
+    worker = partial(_collect_worker, automata=automata)
     with closing(map_tasks(worker, tasks, jobs)) as results:
         for grids in results:
             for g in grids:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -148,26 +149,65 @@ def pattern_of(values: Sequence[int]) -> Perm:
     return tuple(bisect_left(order, v) + 1 for v in values)
 
 
-class PatternChecker:
+#: the state of every prefix that cannot be extended to an avoider
+DEAD = 0
+
+
+@dataclass(frozen=True)
+class PrefixAutomaton:
     """
-    Memoized avoidance oracle for a fixed pattern set.
+    The prefixes of the length-n permutations that avoid a pattern set, as a
+    deterministic automaton over the symbols 1..n.
 
-    Used inside search loops where the same line prefixes recur many times;
-    the cache is keyed by the prefix tuple.
+    next[state][s] is the state after appending symbol s, or DEAD when the
+    longer prefix repeats a symbol, contains a pattern, or is the prefix of no
+    avoiding permutation.  live[state] has bit s-1 set for each symbol s
+    that leads to a state other than DEAD.  Prefixes with the same
+    continuations share one state.
     """
 
-    __slots__ = ("patterns", "_cache")
+    next: tuple[tuple[int, ...], ...]
+    live: tuple[int, ...]
+    root: int
 
-    def __init__(self, patterns: Iterable[Sequence[int]]):
-        self.patterns = tuple(tuple(p) for p in patterns)
-        self._cache: dict[tuple[int, ...], bool] = {}
+    def run(self, seq: Iterable[int]) -> int:
+        """The state reached from the empty prefix by appending the entries of seq."""
+        state = self.root
+        for s in seq:
+            state = self.next[state][s]
+        return state
 
-    def avoids_all(self, prefix: tuple[int, ...]) -> bool:
-        hit = self._cache.get(prefix)
-        if hit is None:
-            hit = not any(contains(prefix, p) for p in self.patterns)
-            self._cache[prefix] = hit
-        return hit
+
+def prefix_automaton(n: int, patterns: Iterable[Sequence[int]]) -> PrefixAutomaton:
+    """
+    Compile the prefixes of the permutations of 1..n that avoid every
+    pattern, by one depth-first pass over the distinct-symbol prefixes that
+    avoid them.  A prefix lives iff it avoids the patterns and one of its
+    extensions lives; a full-length prefix that avoids them lives.
+    """
+    patterns = [tuple(p) for p in patterns]
+    dead_row = (DEAD,) * (n + 1)
+    rows = [dead_row, dead_row]  # DEAD, then the state of a complete avoider
+    ids: dict[tuple[int, ...], int] = {}
+
+    def state(prefix: tuple[int, ...]) -> int:
+        if any(len(p) <= len(prefix) and contains(prefix, p) for p in patterns):
+            return DEAD
+        if len(prefix) == n:
+            return 1
+        row = (DEAD,) + tuple(
+            DEAD if s in prefix else state(prefix + (s,)) for s in range(1, n + 1)
+        )
+        if row == dead_row:
+            return DEAD
+        if row not in ids:
+            ids[row] = len(rows)
+            rows.append(row)
+        return ids[row]
+
+    root = state(())
+    live = tuple(sum(1 << (s - 1) for s in range(1, n + 1) if row[s]) for row in rows)
+    return PrefixAutomaton(tuple(rows), live, root)
 
 
 # ---------------------------------------------------------------------------

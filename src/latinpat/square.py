@@ -23,10 +23,17 @@ from .perm import Perm
 Grid = tuple[tuple[int, ...], ...]
 
 
+def _entry(x) -> int:
+    # index() takes ints and int-likes but refuses floats and digit strings;
+    # bool is an int subclass, so JSON true/false are refused here
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return operator.index(x)
+
+
 def _freeze_grid(rows: Iterable[Sequence[int]]) -> Grid:
-    # index() takes ints and int-likes but refuses floats and digit strings
     try:
-        return tuple(tuple(operator.index(x) for x in row) for row in rows)
+        return tuple(tuple(_entry(x) for x in row) for row in rows)
     except TypeError as exc:
         raise ValueError(f"grid must be a list of rows of integers ({exc})") from None
 

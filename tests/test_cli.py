@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 from latinpat import cli
 from latinpat.cli import main
 from latinpat.construct import connolly_square
-from latinpat.square import serialize_square
+from latinpat.enumeration import count_squares
+from latinpat.square import EMPTY_SPEC, serialize_square
 
 
 def run(capsys, *argv):
@@ -321,6 +323,18 @@ def test_cache_env_var_and_no_cache(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cache.jsonl").read_text() == before
 
 
+def test_cache_entry_from_an_older_engine_is_recomputed(tmp_path, capsys):
+    # an entry in the key layout that had no engine version, holding the
+    # old engine's nodes_explored, must not be served as a hit
+    digest = hashlib.sha256(json.dumps(EMPTY_SPEC.to_dict(), sort_keys=True).encode()).hexdigest()
+    stale = {"count": 12, "nodes_explored": 1, "order": 3, "spec": EMPTY_SPEC.to_dict()}
+    cli.CacheStore(tmp_path).store({"op": "count", "order": 3, "spec": digest}, stale)
+    code, out, _ = run(capsys, "count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out) == count_squares(3).to_dict()
+    assert json.loads(out)["nodes_explored"] != 1
+
+
 def test_cache_respects_spec_digest(tmp_path, capsys):
     run(capsys, "count", "--order", "4", "--avoid", "123", "--jobs", "1",
         "--cache-dir", str(tmp_path))
@@ -368,7 +382,9 @@ def test_json_square_without_grid_is_invalid(tmp_path, capsys):
     assert "grid" in err
 
 
-@pytest.mark.parametrize("grid", [5, [[1, 2], [2, None]], [1, 2], [[1.5, 2], [2, 1]], ["12", "21"]])
+@pytest.mark.parametrize("grid", [
+    5, [[1, 2], [2, None]], [1, 2], [[1.5, 2], [2, 1]], ["12", "21"], [[True, 2], [2, 1]],
+])
 def test_json_square_with_malformed_grid_is_invalid(tmp_path, capsys, grid):
     f = tmp_path / "sq.json"
     f.write_text(json.dumps({"grid": grid}))

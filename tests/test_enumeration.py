@@ -68,6 +68,12 @@ def test_length3_avoider_counts():
             assert count_squares(n, AvoidanceSpec.both(q)).count == n
 
 
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("q", [(1, 2, 3), (1, 3, 2)])
+def test_length3_avoider_counts_at_larger_orders(q, n):
+    assert count_squares(n, AvoidanceSpec.both(q)).count == n
+
+
 def test_length3_avoiders_are_the_cyclic_squares():
     for q in S3:
         got = collect_squares(4, AvoidanceSpec.both(q))
@@ -145,7 +151,7 @@ def test_parallel_count_matches_serial():
 
 @pytest.mark.parametrize("n,spec,cli_args,nodes", [
     (4, EMPTY_SPEC, [], 5776),
-    (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 28612),
+    (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 2738),
 ])
 def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, capsys):
     assert count_squares(n, spec, jobs=1).nodes_explored == nodes
