@@ -115,28 +115,43 @@ def _progress_emitter(args) -> Callable[[int, int], None] | None:
 # ---------------------------------------------------------------------------
 
 class CacheStore:
-    """Append-only JSON-lines cache; the last entry for a key wins."""
+    """
+    Append-only JSON-lines cache; the last valid entry for a key wins.
+
+    `store` writes each entry as `json.dumps(entry, sort_keys=True)`, so
+    `"key"` comes first and every entry for a key is a line starting with
+    `{"key": <the key's sorted dump>, `.  `lookup` searches the file for the
+    last line with that head and parses only it, stepping back past lines
+    that do not parse.  Lines in any other form are never served.
+    """
 
     def __init__(self, directory: Path):
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / CACHE_FILE
 
     def lookup(self, key: dict) -> dict | None:
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             return None
         wanted = json.dumps(key, sort_keys=True)
-        found = None
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if json.dumps(entry.get("key"), sort_keys=True) == wanted:
-                    found = entry.get("value")
+        head = b'{"key": ' + wanted.encode() + b", "
+        found, skipped, end = None, 0, len(data)
+        while (at := data.rfind(head, 0, end)) >= 0:
+            end = at + len(head) - 1
+            if at and data[at - 1] != ord("\n"):
+                continue  # not at the start of a line
+            stop = data.find(b"\n", at)
+            try:
+                entry = json.loads(data[at:stop if stop >= 0 else None])
+            except ValueError:
+                skipped += 1
+                continue
+            if json.dumps(entry.get("key"), sort_keys=True) == wanted:
+                found = entry.get("value")
+                break
+        if skipped:
+            sys.stderr.write(f"cache: skipped {skipped} unreadable entries for this key\n")
         return found
 
     def store(self, key: dict, value: dict) -> None:
@@ -146,8 +161,15 @@ class CacheStore:
             "tool_version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode()
+        # unbuffered, so the entry goes out in one write; a file whose last
+        # line was torn by a writer that died gets the entry on a new line
+        with self.path.open("ab+", buffering=0) as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
 
 
 def _cache_store(args) -> CacheStore | None:

@@ -2,10 +2,12 @@
 Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the library's fast paths: containment checks
-every subsequence, monotone length checks every subset, and counting filters
-a full enumeration.  Tests compare the production code against these.
+every subsequence, monotone length checks every subset, counting filters
+a full enumeration, and the cache lookup parses every line of the file.
+Tests compare the production code against these.
 """
 import itertools
+import json
 
 import pytest
 
@@ -46,6 +48,22 @@ def naive_longest_monotone(seq):
             if all(a > b for a, b in zip(vals, vals[1:])):
                 return k
     return 0
+
+
+def naive_cache_lookup(path, key):
+    """The value of the last entry for key in a JSON-lines cache, parsing every line."""
+    if not path.exists():
+        return None
+    wanted = json.dumps(key, sort_keys=True)
+    found = None
+    for line in path.read_text().splitlines():
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, dict) and json.dumps(entry.get("key"), sort_keys=True) == wanted:
+            found = entry.get("value")
+    return found
 
 
 def perms(m):

@@ -13,6 +13,8 @@ from latinpat.construct import connolly_square
 from latinpat.enumeration import count_squares
 from latinpat.square import EMPTY_SPEC, serialize_square
 
+from conftest import naive_cache_lookup
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -343,6 +345,145 @@ def test_cache_respects_spec_digest(tmp_path, capsys):
     assert json.loads(out)["count"] == 4
     lines = (tmp_path / "cache.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2  # different specs cache separately
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--order", "3"],
+    ["wilf", "--length", "3", "--order", "3"],
+    ["lambda", "--order", "3", "--exhaustive"],
+], ids=["count", "wilf", "lambda"])
+def test_cache_hit_prints_the_computed_bytes(tmp_path, capsys, argv):
+    argv = argv + ["--jobs", "1"]
+    _, fresh, _ = run(capsys, *argv, "--no-cache")
+    _, miss, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    code, hit, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert hit == miss == fresh
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+
+DIGEST = "ab" * 32
+COUNT_1 = {"engine": 2, "op": "count", "order": 1, "spec": DIGEST}
+COUNT_10 = {"engine": 2, "op": "count", "order": 10, "spec": DIGEST}
+COUNT_1_OLD = {"op": "count", "order": 1, "spec": DIGEST}
+WILF_1 = {"length": 3, "mode": "filter", "op": "wilf", "order": 1}
+WILF_10 = {"length": 3, "mode": "filter", "op": "wilf", "order": 10}
+WILF_1_PRUNED = {"length": 3, "mode": "pruned", "op": "wilf", "order": 1}
+LAMBDA_1 = {"op": "lambda-exhaustive", "order": 1}
+LAMBDA_10 = {"op": "lambda-exhaustive", "order": 10}
+ABSENT = {"op": "lambda-exhaustive", "order": 2}
+CACHE_KEYS = [COUNT_1, COUNT_10, COUNT_1_OLD, WILF_1, WILF_10, WILF_1_PRUNED, LAMBDA_1, LAMBDA_10, ABSENT]
+
+
+def _tear(path, nbytes):
+    """Cut the file's last nbytes, as a writer that died mid-line leaves it."""
+    path.write_bytes(path.read_bytes()[:-nbytes])
+
+
+def _write_cache(store, steps):
+    # ("store", key, value) appends through the store, ("raw", text) appends
+    # text as it is, ("tear", n) cuts the last n bytes
+    for step in steps:
+        if step[0] == "store":
+            store.store(step[1], step[2])
+        elif step[0] == "raw":
+            with store.path.open("a") as fh:
+                fh.write(step[1])
+        else:
+            _tear(store.path, step[1])
+
+
+# each layout: its steps, and the values some keys must map to
+CACHE_LAYOUTS = {
+    "missing": ([], [(COUNT_1, None)]),
+    "empty": ([("raw", "")], [(COUNT_1, None)]),
+    "duplicates": ([
+        ("store", COUNT_1, {"v": 1}), ("store", WILF_1, {"v": 2}), ("store", COUNT_1, {"v": 3}),
+        ("store", LAMBDA_1, {"v": 4}), ("store", COUNT_1, {"v": 5}), ("store", WILF_1, {"v": 6}),
+    ], [(COUNT_1, {"v": 5}), (WILF_1, {"v": 6}), (LAMBDA_1, {"v": 4})]),
+    "prefix keys": ([
+        ("store", COUNT_10, {"v": 1}), ("store", COUNT_1, {"v": 2}), ("store", COUNT_1_OLD, {"v": 3}),
+        ("store", WILF_1, {"v": 4}), ("store", WILF_10, {"v": 5}), ("store", WILF_1_PRUNED, {"v": 6}),
+        ("store", LAMBDA_1, {"v": 7}), ("store", LAMBDA_10, {"v": 8}), ("store", COUNT_10, {"v": 9}),
+    ], [(COUNT_1, {"v": 2}), (COUNT_10, {"v": 9}), (COUNT_1_OLD, {"v": 3}), (WILF_1, {"v": 4}),
+        (WILF_10, {"v": 5}), (WILF_1_PRUNED, {"v": 6}), (LAMBDA_1, {"v": 7}), (LAMBDA_10, {"v": 8})]),
+    "blank, garbage and torn": ([
+        ("store", COUNT_1, {"v": 1}), ("raw", "\n\n"), ("raw", "not json {\n"),
+        ("store", WILF_10, {"v": 2}), ("raw", "   \n"),
+        ("raw", '{"key": ' + json.dumps(WILF_10, sort_keys=True) + ', "value": \n'),
+        ("store", LAMBDA_1, {"v": 3}), ("store", COUNT_1, {"v": 4}), ("tear", 20),
+    ], [(COUNT_1, {"v": 1}), (WILF_10, {"v": 2}), (LAMBDA_1, {"v": 3})]),
+}
+
+
+@pytest.mark.parametrize("layout", list(CACHE_LAYOUTS))
+def test_cache_lookup_matches_the_full_parse(tmp_path, layout):
+    steps, expected = CACHE_LAYOUTS[layout]
+    store = cli.CacheStore(tmp_path)
+    _write_cache(store, steps)
+    for key in CACHE_KEYS:
+        assert store.lookup(key) == naive_cache_lookup(store.path, key), key
+    for key, value in expected:
+        assert store.lookup(key) == value, key
+
+
+def test_cache_lookup_serves_only_lines_in_the_stored_form(tmp_path):
+    # hand-edited lines that a full parse would read; the lookup leaves them
+    # to be recomputed
+    store = cli.CacheStore(tmp_path)
+    stored_form = json.dumps({"key": COUNT_1, "value": {"v": 4}}, sort_keys=True)
+    store.path.write_text("\n".join([
+        json.dumps({"value": {"v": 1}, "key": COUNT_1}),
+        "  " + json.dumps({"key": COUNT_1, "value": {"v": 2}}, sort_keys=True),
+        json.dumps({"key": COUNT_1, "value": {"v": 3}}, sort_keys=True, separators=(",", ":")),
+        "xx" + stored_form,
+        stored_form.replace(', "value"', ', "key": ' + json.dumps(COUNT_10, sort_keys=True) + ', "value"'),
+    ]) + "\n")
+    assert naive_cache_lookup(store.path, COUNT_1) == {"v": 3}
+    assert naive_cache_lookup(store.path, COUNT_10) == {"v": 4}
+    assert store.lookup(COUNT_1) is None
+    assert store.lookup(COUNT_10) is None
+
+
+def test_cache_hit_parses_only_its_own_line(tmp_path, monkeypatch):
+    store = cli.CacheStore(tmp_path)
+    for order in range(1000):
+        store.store({"op": "lambda-exhaustive", "order": order}, {"v": order})
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(*a, **kw):
+        parsed.append(a[0])
+        return loads(*a, **kw)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    assert store.lookup({"op": "lambda-exhaustive", "order": 500}) == {"v": 500}
+    assert len(parsed) == 1
+
+
+def test_store_after_a_torn_last_line_starts_a_new_line(tmp_path, capsys):
+    store = cli.CacheStore(tmp_path)
+    store.store(COUNT_1, {"v": 1})
+    _tear(store.path, 20)
+    store.store(WILF_1, {"v": 2})
+    assert store.path.read_bytes().endswith(b"\n")
+    assert store.lookup(WILF_1) == {"v": 2}
+    assert store.lookup(COUNT_1) is None
+    assert capsys.readouterr().err == "cache: skipped 1 unreadable entries for this key\n"
+
+
+def test_unreadable_entries_are_reported_and_never_served(tmp_path, capsys):
+    args = ["count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    _, first, _ = run(capsys, *args)
+    path = tmp_path / "cache.jsonl"
+    entry = path.read_bytes()
+    damaged = entry.replace(b'"count": 12', b'"count": 13')
+    assert damaged != entry
+    path.write_bytes(entry + damaged[:-30] + b"\n" + damaged[:-20])
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == first
+    assert err == "cache: skipped 2 unreadable entries for this key\n"
 
 
 # ---------------------------------------------------------------------------
