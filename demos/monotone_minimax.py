@@ -7,11 +7,7 @@ Latin squares force a bit more: some row or column always carries a monotone
 subsequence of length floor(3/2 + sqrt(n - 7/4)).  At perfect-square orders
 that bound is tight, witnessed by a modular construction whose lines are all
 cyclic shifts of a single carefully chopped sequence.
-
-Run with --full to include the order-5 exhaustive scan (a few seconds).
 """
-import sys
-
 from latinpat import (
     compute_lambda_exhaustive,
     connolly_square,
@@ -21,19 +17,15 @@ from latinpat import (
     serialize_square,
 )
 
-full = "--full" in sys.argv[1:]
-
 print("guaranteed monotone length (lower bound) by order:")
 row = ", ".join(f"{n}:{lambda_lower_bound(n)}" for n in range(2, 18))
 print(f"  {row}\n")
 
-print("exact values by exhaustive scan:")
-for n in (2, 3, 4) + ((5,) if full else ()):
+print("exact values by pruned existence search:")
+for n in (2, 3, 4, 5):
     report = compute_lambda_exhaustive(n)
     tight = "tight" if report.exact_value == report.lower_bound else "bound not tight"
     print(f"  order {n}: {report.exact_value}  (lower bound {report.lower_bound}, {tight})")
-if not full:
-    print("  order 5: pass --full to scan all 161280 squares")
 
 print("\nthe order-9 modular square:")
 sq = connolly_square(3)

@@ -26,6 +26,7 @@ from .enumeration import (
     count_column_avoiders,
     count_squares,
     default_split_depth,
+    enumerate_squares,
     map_tasks,
     partition_tasks,
 )
@@ -35,7 +36,6 @@ from .square import (
     AvoidanceSpec,
     Grid,
     LatinSquare,
-    _trusted_square,
     max_monotone,
     square_to_json,
 )
@@ -157,37 +157,26 @@ def lambda_witness_cap(sq: LatinSquare) -> int:
     return max_monotone(sq)
 
 
-def _grid_max_monotone(g: Grid, cache: dict) -> int:
-    best = 0
-    for lines in (g, zip(*g)):
-        for line in lines:
-            v = cache.get(line)
-            if v is None:
-                v = perm.longest_monotone(line)
-                cache[line] = v
-            if v > best:
-                best = v
-    return best
+class _Found(Exception):
+    """Carries the first square of a search, as args[0], out of its visitor."""
 
 
-def _lambda_worker(task: EnumerationTask, cache: dict) -> tuple[int | None, Grid | None]:
-    best: list = [None, None]
-
-    def visit(g: Grid) -> None:
-        m = _grid_max_monotone(g, cache)
-        if best[0] is None or m < best[0]:
-            best[0] = m
-            best[1] = g
-
-    _run_search(task.order, task.spec, task.prefix, on_leaf=visit)
-    return best[0], best[1]
+def _raise_found(sq: LatinSquare) -> None:
+    raise _Found(sq)
 
 
 def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
     """
     Exact minimax: the smallest max_monotone over all order-n squares, with
-    the lexicographically first square attaining it as witness.  Full scan,
-    feasible for n <= LAMBDA_EXHAUSTIVE_BOUND.
+    the lexicographically first square attaining it as witness.
+
+    The value is at most m iff some square avoids 12...(m+1) and (m+1)...1
+    in every row and column, which the pruned search decides.  m runs up
+    from one below the proven lower bound, so a square found there fails
+    the lower-bound check; at m = n the patterns are longer than n and a
+    square always exists.  The search visits squares in lexicographic
+    order at any jobs, so its first square at the least feasible m is the
+    witness.  Feasible for n <= LAMBDA_EXHAUSTIVE_BOUND.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -197,19 +186,19 @@ def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
         )
     lower = lambda_lower_bound(n) if n >= 2 else 1
 
-    value: int | None = None
-    grid: Grid | None = None
-    worker = partial(_lambda_worker, cache={})
-    for v, g in map_tasks(worker, partition_tasks(n, EMPTY_SPEC, default_split_depth(n)), jobs):
-        if v is not None and (value is None or v < value):
-            value, grid = v, g
+    for value in itertools.count(lower - 1):
+        spec = AvoidanceSpec.both(tuple(range(1, value + 2)), tuple(range(value + 1, 0, -1)))
+        try:
+            enumerate_squares(n, spec, _raise_found, jobs=jobs)
+        except _Found as hit:
+            witness = hit.args[0]
+            break
 
-    assert value is not None and grid is not None
     if value < lower:
         raise AssertionError(
             f"minimax {value} at order {n} is below the proven lower bound {lower}"
         )
-    return LambdaReport(n, lower, value, _trusted_square(grid), "exhaustive")
+    return LambdaReport(n, lower, value, witness, "exhaustive")
 
 
 def lambda_bound_report(n: int) -> LambdaReport:

@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="monotone-subsequence minimax analysis")
     p.add_argument("--order", type=int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exhaustive", action="store_true", help="exact value by full scan (order <= 5)")
+    mode.add_argument("--exhaustive", action="store_true", help="exact value by pruned existence search (order <= 5)")
     mode.add_argument("--bounds", action="store_true", help="lower bound plus witness cap, no scan")
     _add_common_flags(p)
     _add_cache_flags(p)

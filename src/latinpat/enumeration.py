@@ -9,8 +9,8 @@ column keeps one automaton state, and a placement costs one table lookup
 per line.  A line's state goes DEAD as soon as its prefix contains a
 pattern or can no longer be completed to an avoiding permutation of 1..n,
 and nothing below a dead prefix is searched.  Symbol-pattern constraints
-are not prefix-monotone in this fill order and are checked at the leaves,
-by running each symbol permutation through its automaton.  A spec with no
+are checked at the leaves, by running each symbol permutation through its
+automaton.  A spec with no
 row or column patterns runs a loop that keeps no automaton states.
 
 A node is a cell placement that passed the occupancy masks, counted before

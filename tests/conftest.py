@@ -3,7 +3,8 @@ Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the library's fast paths: containment checks
 every subsequence, monotone length checks every subset, counting filters
-a full enumeration, and the cache lookup parses every line of the file.
+a full enumeration, the monotone minimax scores every square built from
+permutations row by row, and the cache lookup parses every line of the file.
 Tests compare the production code against these.
 """
 import itertools
@@ -48,6 +49,35 @@ def naive_longest_monotone(seq):
             if all(a > b for a, b in zip(vals, vals[1:])):
                 return k
     return 0
+
+
+def naive_minimax(n):
+    """
+    (least max line-monotone length, lexicographically first square attaining
+    it) over all order-n squares, built row by row from permutations.
+    """
+    rows = list(itertools.permutations(range(1, n + 1)))
+    memo = {}
+
+    def score(line):
+        if line not in memo:
+            memo[line] = naive_longest_monotone(line)
+        return memo[line]
+
+    best = [None, None]
+
+    def extend(grid):
+        if len(grid) == n:
+            value = max(score(line) for line in grid + list(zip(*grid)))
+            if best[0] is None or value < best[0]:
+                best[:] = [value, tuple(grid)]
+            return
+        for row in rows:
+            if all(r[j] != row[j] for r in grid for j in range(n)):
+                extend(grid + [row])
+
+    extend([])
+    return best[0], best[1]
 
 
 def naive_cache_lookup(path, key):

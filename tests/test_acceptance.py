@@ -45,8 +45,9 @@ from latinpat.square import (
 
 from conftest import S3, S4, collect_squares, naive_contains, perms
 
-# Derived exhaustively by demos/derive_lambda5.py (full scan of all 161280
-# order-5 squares); certified below by the proven lower bound plus a witness.
+# Derived by demos/derive_lambda5.py (pruned existence search: no order-5
+# square avoids 123 and 321 in every line, and one avoids 1234 and 4321);
+# certified below by the proven lower bound plus a witness.
 LAMBDA_5 = 3
 
 # Avoider counts for the eight pattern classes of length 4 at order 5,

@@ -1,5 +1,6 @@
 import pytest
 
+from latinpat import analysis
 from latinpat.analysis import (
     column_avoider_count,
     compute_lambda_exhaustive,
@@ -18,6 +19,7 @@ from latinpat.enumeration import FeasibilityError
 from latinpat.perm import longest_monotone
 from latinpat.square import latin_square, max_monotone
 
+from conftest import naive_minimax
 
 
 def brute_lower_bound(n):
@@ -81,6 +83,37 @@ def test_lambda_parallel_matches_serial():
     parallel = compute_lambda_exhaustive(4, jobs=4)
     assert parallel.exact_value == serial.exact_value
     assert parallel.witness == serial.witness
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lambda_exhaustive_matches_naive_minimax(n, jobs):
+    report = compute_lambda_exhaustive(n, jobs=jobs)
+    assert (report.exact_value, report.witness.grid) == naive_minimax(n)
+
+
+# The lexicographically first order-5 square with no line monotone beyond 3,
+# recorded from the full leaf scan over all 161280 squares; naive_minimax(5)
+# confirms it but takes most of a minute.
+LAMBDA_5_WITNESS = ((1, 2, 5, 4, 3), (3, 1, 4, 5, 2), (5, 3, 1, 2, 4), (4, 5, 2, 3, 1), (2, 4, 3, 1, 5))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lambda_exhaustive_order5_witness(jobs):
+    report = compute_lambda_exhaustive(5, jobs=jobs)
+    assert (report.exact_value, report.witness.grid) == (3, LAMBDA_5_WITNESS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lambda_exhaustive_json_same_for_jobs(n):
+    assert compute_lambda_exhaustive(n, jobs=1).to_json() == compute_lambda_exhaustive(n, jobs=2).to_json()
+
+
+@pytest.mark.parametrize("n, value", [(2, 2), (3, 3), (4, 3), (5, 3)])
+def test_lambda_exhaustive_checks_the_lower_bound(monkeypatch, n, value):
+    monkeypatch.setattr(analysis, "lambda_lower_bound", lambda order: value + 1)
+    with pytest.raises(AssertionError, match="below the proven lower bound"):
+        compute_lambda_exhaustive(n)
 
 
 # ---------------------------------------------------------------------------
