@@ -20,15 +20,16 @@ from typing import Sequence
 from . import perm
 from .construct import connolly_square
 from .enumeration import (
+    Automata,
     EnumerationTask,
     FeasibilityError,
+    _partition,
     _run_search,
     count_column_avoiders,
     count_squares,
     default_split_depth,
     enumerate_squares,
     map_tasks,
-    partition_tasks,
 )
 from .perm import Perm
 from .square import (
@@ -273,14 +274,14 @@ def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
     return m
 
 
-def _wilf_worker(task: EnumerationTask, k: int, cache: dict) -> Counter:
+def _wilf_worker(task: EnumerationTask, k: int, cache: dict, automata: Automata) -> Counter:
     bit_of = _pattern_bits(k)
     tally: Counter = Counter()
 
     def visit(g: Grid) -> None:
         tally[_grid_mask(g, k, bit_of, cache)] += 1
 
-    _run_search(task.order, task.spec, task.prefix, on_leaf=visit)
+    _run_search(task.order, task.spec, task.prefix, on_leaf=visit, automata=automata)
     return tally
 
 
@@ -321,8 +322,10 @@ def wilf_classes(
     else:
         bit_of = _pattern_bits(k)
         tally: Counter = Counter()
-        worker = partial(_wilf_worker, k=k, cache={})
-        for part in map_tasks(worker, partition_tasks(n, EMPTY_SPEC, default_split_depth(n)), jobs):
+        automata = Automata(n, EMPTY_SPEC)
+        tasks, _ = _partition(n, EMPTY_SPEC, default_split_depth(n), automata)
+        worker = partial(_wilf_worker, k=k, cache={}, automata=automata)
+        for part in map_tasks(worker, tasks, jobs):
             tally.update(part)
         for p, b in bit_of.items():
             counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)
@@ -394,23 +397,20 @@ def verify_triple_containment(n: int) -> dict:
         raise FeasibilityError("triple-containment check enumerates all squares; n <= 5")
     bit_of = _pattern_bits(3)
     cache: dict = {}
-    triples = [
-        tuple(bit_of[p] for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2))),
-        tuple(bit_of[p] for p in ((1, 3, 2), (2, 1, 3), (3, 2, 1))),
-    ]
+    triples = []
+    for triple in (((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3), (3, 2, 1))):
+        bits = tuple(bit_of[p] for p in triple)
+        triples.append((bits, sum(1 << b for b in bits)))
     bad: list = []
-    seen = [0]
 
     def visit(g: Grid) -> None:
-        seen[0] += 1
         m = _grid_mask(g, 3, bit_of, cache)
-        for bits in triples:
-            flags = [(m >> b) & 1 for b in bits]
-            if len(set(flags)) > 1 and len(bad) < 5:
-                bad.append({"grid": [list(r) for r in g], "flags": flags})
+        for bits, mask in triples:
+            if m & mask not in (0, mask) and len(bad) < 5:
+                bad.append({"grid": [list(r) for r in g], "flags": [(m >> b) & 1 for b in bits]})
 
-    _run_search(n, EMPTY_SPEC, on_leaf=visit)
-    return {"order": n, "squares": seen[0], "violations": bad, "ok": not bad}
+    squares, _ = _run_search(n, EMPTY_SPEC, on_leaf=visit)
+    return {"order": n, "squares": squares, "violations": bad, "ok": not bad}
 
 
 def _is_cyclic_decreasing(line: tuple[int, ...]) -> bool:

@@ -284,9 +284,19 @@ def _cmd_enumerate(args) -> int:
     out = sys.stdout
     seen = [0]
     progress = args.progress == "json"
+    # each line is json.dumps(square_to_json(sq), sort_keys=True), built
+    # from one cached JSON string per distinct row
+    row_json: dict[tuple[int, ...], str] = {}
+    tail = f'], "order": {n}}}\n'
+
+    def row_text(row: tuple[int, ...]) -> str:
+        text = row_json.get(row)
+        if text is None:
+            text = row_json[row] = json.dumps(list(row))
+        return text
 
     def visit(sq) -> None:
-        out.write(json.dumps(square_to_json(sq), sort_keys=True) + "\n")
+        out.write('{"grid": [' + ", ".join(map(row_text, sq.grid)) + tail)
         seen[0] += 1
         if progress and seen[0] % 10000 == 0:
             sys.stderr.write(json.dumps({"event": "progress", "squares": seen[0]}) + "\n")

@@ -2,28 +2,39 @@
 Exhaustive backtracking enumeration of Latin squares with online
 pattern-avoidance pruning.
 
-The search fills the grid row-major, cell by cell, with per-row and
-per-column occupancy bitmasks.  Row and column patterns are compiled once
-per call into prefix automata (perm.prefix_automaton): each row and each
-column keeps one automaton state, and a placement costs one table lookup
-per line.  A line's state goes DEAD as soon as its prefix contains a
-pattern or can no longer be completed to an avoiding permutation of 1..n,
-and nothing below a dead prefix is searched.  Symbol-pattern constraints
-are checked at the leaves, by running each symbol permutation through its
-automaton.  A spec with no
-row or column patterns runs a loop that keeps no automaton states.
+The search fills the grid row-major with per-row and per-column occupancy
+bitmasks.  Row and column patterns are compiled once per call into prefix
+automata (perm.prefix_automaton): each row and each column keeps one
+automaton state, and a placement costs one table lookup per line.  A
+line's state goes DEAD as soon as its prefix contains a pattern or can no
+longer be completed to an avoiding permutation of 1..n, and nothing below
+a dead prefix is searched.  A side with no patterns gets a one-state
+automaton that takes every symbol.  Symbol-pattern constraints are checked
+at the leaves, by running each symbol permutation through its automaton.
+
+The grid is walked a whole row at a time, after the transfer-matrix method
+(Stanley, EC1 4.7).  The rows that can fill row i depend only on the
+column state, every column's free symbols and automaton state.  A
+cell-by-cell search over that one row finds them the first time the state
+is seen, and the per-call row table keeps them, with the column state each
+leads to and the nodes the row search counted; every later visit replays
+the entry.  A plain count adds up the number of last rows instead of
+visiting each square.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check, so nodes_explored counts the placements tried below
-live prefixes.
+live prefixes.  A replayed entry adds the nodes its row search counted, so
+nodes_explored means what it did when every row was searched cell by cell.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 Every scan is cut at the first row into disjoint prefix subtrees, one task
 each, whatever the worker count; merging per-task results in task order
 keeps every output, node counts included, the same for any worker count.
-The automata are compiled once per call and shared by all of that call's
-tasks, so the split costs no extra containment checks.
+The automata and the row table are built once per call and shared by all
+of that call's tasks, so the split costs no extra containment checks, and
+at one worker no column state's row search runs twice.  Each chunk of
+tasks sent to a pool worker carries its own copy of the table.
 """
 from __future__ import annotations
 
@@ -55,6 +66,10 @@ DEFAULT_UNRESTRICTED_BOUND = 6
 
 #: ceiling for the independent reduced-square cross-check search
 REDUCED_SEARCH_BOUND = 6
+
+#: most column states one call's row table stores (a few hundred bytes
+#: each); states past it are searched again on every visit
+ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -107,25 +122,44 @@ def check_enumeration_bound(n: int, spec: AvoidanceSpec, max_order: int | None =
         )
 
 
-Automata = tuple[PrefixAutomaton | None, PrefixAutomaton | None, PrefixAutomaton | None]
-
-
-def _spec_automata(n: int, spec: AvoidanceSpec) -> Automata:
-    """
-    The (row, column, symbol) prefix automata of a spec at order n; None
-    where it has no pattern of length at most n.
-    """
-    automata = []
-    for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
-        short = [p for p in patterns if len(p) <= n]
-        automata.append(prefix_automaton(n, short) if short else None)
-    return tuple(automata)
-
-
 def _free_automaton(n: int) -> PrefixAutomaton:
     # One live state that takes every symbol: the lines of a side with no
     # patterns, whose repeats the occupancy masks already exclude.
     return PrefixAutomaton(((DEAD,) * (n + 1), (DEAD,) + (1,) * n), (0, (1 << n) - 1), 1)
+
+
+class Automata:
+    """
+    One call's compiled search, shared by all of its tasks: the row, column
+    and symbol prefix automata of the spec, and the row table.
+
+    A row or column side with no pattern of length at most n gets
+    _free_automaton(n); a symbol side with none gets None.  A column state
+    is every column's free-symbol mask and automaton state, packed into one
+    int, width bits per column.  The row table maps the column state at the
+    start of a row to one flat tuple (nodes, row, next, row, next, ...): the
+    nodes the single-row search counted from that state, then each row that
+    fills it, in increasing order, with the column state it leads to.
+    _run_search fills it on first visit, up to ROW_TABLE_BUDGET states;
+    rows and keys hold the one object kept for each distinct row tuple and
+    next state.  At order 5 with no patterns it holds 4,321 states in about
+    1.2 MB.
+    """
+
+    def __init__(self, n: int, spec: AvoidanceSpec):
+        compiled = []
+        for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
+            short = [p for p in patterns if len(p) <= n]
+            compiled.append(prefix_automaton(n, short) if short else None)
+        row, col, self.sym = compiled
+        self.row = row or _free_automaton(n)
+        self.col = col or _free_automaton(n)
+        self.width = n + (len(self.col.live) - 1).bit_length()
+        column = (self.col.root << n) | ((1 << n) - 1)
+        self.root = sum(column << (j * self.width) for j in range(n))
+        self.table: dict[int, tuple] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.keys: dict[int, int] = {}
 
 
 def _run_search(
@@ -146,126 +180,143 @@ def _run_search(
     the surviving prefixes (on_prefix sees each one).  A node is a cell
     placement that passed the occupancy masks, counted before the automaton
     check; the cells of prefix are placed and checked like any other.
-    automata, from _spec_automata(n, spec), lets several searches share one
-    compilation.
+    automata, an Automata(n, spec), lets several searches share one
+    compilation and one row table.
 
-    Each row and each column keeps its prefix automaton state, and a
-    placement survives only while both stay alive.  A spec without row or
-    column patterns runs a loop with no states at all.
+    The grid is walked a whole row at a time.  fill_row, a cell-by-cell
+    search over a single row, finds the rows that can follow a column
+    state, the column state each leads to, and the nodes it counted.  The
+    first visit to a column state stores that in the row table; later
+    visits add the stored nodes and loop over the stored rows, so
+    nodes_explored is the same as a cell-by-cell search's.  Rows holding
+    cells of prefix, and a row cut by stop_depth, run fill_row with those
+    cells given or that stop, and are not stored.  A plain count (no
+    on_leaf, no symbol patterns) adds the number of last rows instead of
+    visiting each square.
     """
     total_cells = n * n
-    full = (1 << n) - 1
-    grid = [[0] * n for _ in range(n)]
-    row_free = [full] * n
-    col_free = [full] * n
-
-    row_auto, col_auto, sym_auto = automata or _spec_automata(n, spec)
-
     stop_at = total_cells if stop_depth is None else stop_depth
     if not 0 <= stop_at <= total_cells:
         raise ValueError(f"stop depth {stop_depth} outside 0..{total_cells}")
-
-    nodes = 0
-    hits = 0
-
     forced = len(prefix)
     if forced > stop_at:
         raise ValueError("prefix longer than the search depth")
 
-    def accept() -> None:
+    auto = automata or Automata(n, spec)
+    table, row_objs, key_objs, sym_auto = auto.table, auto.rows, auto.keys, auto.sym
+    row_next, row_live, row_root = auto.row.next, auto.row.live, auto.row.root
+    col_next, col_live = auto.col.next, auto.col.live
+    width = auto.width
+    full = (1 << n) - 1
+    state_mask = (1 << (width - n)) - 1
+
+    stop_row, stop_col = divmod(stop_at, n)
+    table_from = -(-forced // n)  # the first row with no cell of prefix
+    # a plain count needs only how many rows end each square, not the squares
+    tally = stop_depth is None and on_leaf is None and sym_auto is None
+    last = n - 1
+    grid: list[tuple[int, ...]] = [()] * n
+    nodes = 0
+    hits = 0
+
+    def fill_row(key: int, cells: Sequence[int], stop: int, i: int) -> list:
+        # [nodes, row, next, row, next, ...]: the first `stop` cells of row i
+        # after column state key, cells given first, extended one column at
+        # a time, so the rows stay in order
+        count = 0
+        frontier = [((), full, row_root, key >> (stop * width) << (stop * width))]
+        for j in range(stop):
+            shift = j * width
+            free = (key >> shift) & full
+            cs = (key >> (shift + n)) & state_mask
+            c_live = col_live[cs]
+            c_next = col_next[cs]
+            longer = []
+            for row, row_free, rs, acc in frontier:
+                avail = row_free & free
+                if j < len(cells):
+                    s = cells[j]
+                    bit = 1 << (s - 1)
+                    if not avail & bit:
+                        raise ValueError(
+                            f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
+                        )
+                    avail = bit
+                count += avail.bit_count()
+                avail &= row_live[rs] & c_live
+                r_next = row_next[rs]
+                while avail:
+                    bit = avail & -avail
+                    avail ^= bit
+                    s = bit.bit_length()
+                    column = (c_next[s] << n) | (free ^ bit)
+                    longer.append((row + (s,), row_free ^ bit, r_next[s], acc | (column << shift)))
+            frontier = longer
+        entry = [count]
+        for row, _, _, acc in frontier:
+            entry += (row, acc)
+        return entry
+
+    def accept(i: int, tail: tuple[int, ...] = ()) -> None:
+        # rows 0..i-1 are placed, then the cells of tail
         nonlocal hits
         if stop_depth is not None:
             hits += 1
             if on_prefix is not None:
-                on_prefix(tuple(grid[k // n][k % n] for k in range(stop_at)))
+                on_prefix(tuple(s for row in grid[:i] for s in row) + tail)
             return
         if sym_auto:
             # symbol k's permutation: row index -> column holding k
             sym = [[0] * n for _ in range(n)]
-            for i in range(n):
-                row = grid[i]
+            for r in range(n):
+                row = grid[r]
                 for j in range(n):
-                    sym[row[j] - 1][i] = j + 1
+                    sym[row[j] - 1][r] = j + 1
             for p in sym:
                 if not sym_auto.run(p):
                     return
         hits += 1
         if on_leaf is not None:
-            on_leaf(tuple(tuple(r) for r in grid))
+            on_leaf(tuple(grid))
 
-    def forced_bit(k: int, i: int, j: int, avail: int) -> int:
-        s = prefix[k]
-        bit = 1 << (s - 1)
-        if not avail & bit:
-            raise ValueError(
-                f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
-            )
-        return bit
-
-    def descend(k: int) -> None:
-        nonlocal nodes
-        if k == stop_at:
-            accept()
+    def walk(i: int, key: int) -> None:
+        nonlocal hits, nodes
+        if i == stop_row and not stop_col:
+            accept(i)
             return
-        i, j = divmod(k, n)
-        row = grid[i]
-        avail = row_free[i] & col_free[j]
-        if k < forced:
-            avail = forced_bit(k, i, j, avail)
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            nodes += 1
-            row[j] = bit.bit_length()
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-            descend(k + 1)
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-
-    if row_auto is None and col_auto is None:
-        descend(0)
-        return hits, nodes
-
-    row_auto = row_auto or _free_automaton(n)
-    col_auto = col_auto or _free_automaton(n)
-    row_next, row_live = row_auto.next, row_auto.live
-    col_next, col_live = col_auto.next, col_auto.live
-    row_state = [row_auto.root] * n
-    col_state = [col_auto.root] * n
-
-    def descend_live(k: int) -> None:
-        nonlocal nodes
-        if k == stop_at:
-            accept()
+        if table_from <= i < stop_row:
+            entry = table.get(key)
+            if entry is None:
+                entry = fill_row(key, (), n, i)
+                if len(table) < ROW_TABLE_BUDGET:
+                    for k in range(1, len(entry), 2):
+                        entry[k] = row_objs.setdefault(entry[k], entry[k])
+                        entry[k + 1] = key_objs.setdefault(entry[k + 1], entry[k + 1])
+                    entry = table[key] = tuple(entry)
+        else:
+            start = i * n
+            if i == stop_row:
+                entry = fill_row(key, prefix[start:start + n], stop_col, i)
+                nodes += entry[0]
+                for k in range(1, len(entry), 2):
+                    accept(i, entry[k])
+                return
+            entry = fill_row(key, prefix[start:start + n], n, i)
+        nodes += entry[0]
+        if tally and i == last:
+            hits += len(entry) >> 1
             return
-        i, j = divmod(k, n)
-        row = grid[i]
-        avail = row_free[i] & col_free[j]
-        if k < forced:
-            avail = forced_bit(k, i, j, avail)
-        nodes += avail.bit_count()
-        rs = row_state[i]
-        cs = col_state[j]
-        avail &= row_live[rs] & col_live[cs]
-        r_next = row_next[rs]
-        c_next = col_next[cs]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            s = bit.bit_length()
-            row[j] = s
-            row_state[i] = r_next[s]
-            col_state[j] = c_next[s]
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-            descend_live(k + 1)
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-        row_state[i] = rs
-        col_state[j] = cs
+        for k in range(1, len(entry), 2):
+            grid[i] = entry[k]
+            walk(i + 1, entry[k + 1])
 
-    descend_live(0)
+    try:
+        walk(0, auto.root)
+    finally:
+        # walk's closure refers to itself, and through it to the row table:
+        # break the cycle so the table goes with the call, not at the next
+        # full garbage collection
+        del walk
     return hits, nodes
 
 
@@ -378,7 +429,7 @@ def count_squares(
     t0 = time.perf_counter()
     if split_depth is None:
         split_depth = default_split_depth(n)
-    automata = _spec_automata(n, spec)
+    automata = Automata(n, spec)
     tasks, nodes = _partition(n, spec, split_depth, automata)
     count = 0
     for c, nd in map_tasks(partial(_count_worker, automata=automata), tasks, jobs, progress):
@@ -413,7 +464,7 @@ def enumerate_squares(
         # a first-row task of unrestricted order 6 alone holds ~1.13M squares
         _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
         return
-    automata = _spec_automata(n, spec)
+    automata = Automata(n, spec)
     tasks, _ = _partition(n, spec, default_split_depth(n), automata)
     worker = partial(_collect_worker, automata=automata)
     with closing(map_tasks(worker, tasks, jobs)) as results:

@@ -261,6 +261,18 @@ def test_triple_containment_small_orders():
         assert report["violations"] == []
 
 
+def test_triple_containment_reports_a_split_triple(monkeypatch):
+    # no square splits a triple, so fake a line mask holding 123 and 132
+    # alone: each square then splits both triples
+    bit_of = analysis._pattern_bits(3)
+    mask = (1 << bit_of[(1, 2, 3)]) | (1 << bit_of[(1, 3, 2)])
+    monkeypatch.setattr(analysis, "_grid_mask", lambda g, k, bits, cache: mask)
+    report = verify_triple_containment(3)
+    assert report["squares"] == 12 and not report["ok"]
+    assert [v["flags"] for v in report["violations"]] == [[1, 0, 0], [1, 0, 0]] * 2 + [[1, 0, 0]]
+    assert report["violations"][0]["grid"] == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+
+
 def test_cyclic_structure():
     for n in (2, 3, 4, 5):
         report = verify_cyclic_structure(n)

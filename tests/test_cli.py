@@ -10,8 +10,8 @@ import pytest
 from latinpat import cli
 from latinpat.cli import main
 from latinpat.construct import connolly_square
-from latinpat.enumeration import count_squares
-from latinpat.square import EMPTY_SPEC, serialize_square
+from latinpat.enumeration import count_squares, enumerate_squares
+from latinpat.square import EMPTY_SPEC, serialize_square, square_to_json
 
 from conftest import naive_cache_lookup
 
@@ -100,6 +100,32 @@ def test_enumerate_with_spec(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "4", "--avoid", "123", "--jobs", "2")
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def _square_json_lines(n):
+    lines = []
+    enumerate_squares(n, EMPTY_SPEC, lambda sq: lines.append(json.dumps(square_to_json(sq), sort_keys=True)))
+    return lines
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_enumerate_lines_are_square_json(order, jobs, capsys):
+    # the lines built from per-row strings are the square_to_json dumps
+    code, out, _ = run(capsys, "enumerate", "--order", str(order), "--jobs", jobs)
+    assert code == 0
+    assert out.endswith("\n")
+    assert out.split("\n")[:-1] == _square_json_lines(order)
+
+
+def test_enumerate_order_5_bytes(capsys):
+    code, out, _ = run(capsys, "enumerate", "--order", "5", "--jobs", "1")
+    assert code == 0
+    want = "".join(line + "\n" for line in _square_json_lines(5))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == hashlib.sha256(want.encode()).hexdigest()
+    # the bytes of the cell-by-cell engine and per-square dumps
+    assert digest == "8ba4bd79604dc07ff386ecf08a29bb1cea3500fb2ec63f4a4b3006ad072b16a6"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
-from latinpat import construct, perm
+from latinpat import analysis, construct, enumeration, perm
 from latinpat.cli import main
 from latinpat.enumeration import (
     EnumerationTask,
@@ -160,6 +161,65 @@ def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, 
     assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
 
 
+# (count, nodes_explored) at split depths 0, 3, 5, 7 and 10 of order 5 (the
+# middle of the first row, its end, the middle of the second row, its end),
+# recorded from the cell-by-cell engine: the row walk keeps ENGINE_VERSION 2
+ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
+GOLDEN_DEPTHS = (0, 3, 5, 7, 10)
+GOLDEN_5 = [
+    (EMPTY_SPEC, 161280, (2314165, 2314345, 2314765, 2325085, 2366965)),
+    (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (748791, 748959, 749306, 758164, 787251)),
+    (ROWS_132_SYMBOLS_123, 5, (36039, 36123, 36249, 38573, 41439)),
+]
+
+# number of prefixes and sha256 of their JSON list from partition_tasks at
+# depths 3 and 7, in the order of GOLDEN_5
+GOLDEN_PREFIXES_5 = {
+    3: [
+        (60, "8f4fb16fe9ce83efa819c6562d271cb8d271040119d8c0f5c9633cc22fb601a6"),
+        (56, "9d54f2f45c9f4ae46e683cd90a1aaf591ab49bce815a244ddb28ecfd84c4e323"),
+        (28, "bc84256fbad53511c6930f576f0fe178ffa37c8d5c552846fd9c19c481712982"),
+    ],
+    7: [
+        (1560, "678b37fb12bcca1b688ba98c35a53aad2c4821157a665a40237ddae8c45c3c13"),
+        (1339, "738d4ba39b226b9802f523c4e63aa2324fb0ce91e63e2641131bce0c9e7ad580"),
+        (362, "ed63285027b684d2d09728eef0413865d96bdcc91072b6b1d8428a9d171ca46f"),
+    ],
+}
+
+# order 4 at split depths 0, 1, 4, 5 and 16 (a one-cell split, the first
+# row, one cell past it, the whole grid), from the same engine
+GOLDEN_4 = [
+    (EMPTY_SPEC, 576, (5680, 5684, 5776, 6040, 14896)),
+    (AvoidanceSpec.both((1, 2, 3)), 4, (371, 375, 427, 556, 435)),
+    (AvoidanceSpec.columns_only((2, 3, 1)), 24, (782, 786, 878, 1052, 1166)),
+    (AvoidanceSpec.rows_only((1, 2)), 0, (13, 14, 17, 13, 13)),
+    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (5680, 5684, 5776, 6040, 14896)),
+    (ROWS_132_SYMBOLS_123, 4, (1198, 1202, 1254, 1408, 1582)),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("spec,count,nodes", GOLDEN_5)
+def test_golden_counts_and_nodes_order_5(spec, count, nodes, jobs):
+    got = [count_squares(5, spec, jobs=jobs, split_depth=d) for d in GOLDEN_DEPTHS]
+    assert [(r.count, r.nodes_explored) for r in got] == [(count, nd) for nd in nodes]
+
+
+@pytest.mark.parametrize("spec,count,nodes", GOLDEN_4)
+def test_golden_counts_and_nodes_order_4(spec, count, nodes):
+    got = [count_squares(4, spec, split_depth=d) for d in (0, 1, 4, 5, 16)]
+    assert [(r.count, r.nodes_explored) for r in got] == [(count, nd) for nd in nodes]
+
+
+@pytest.mark.parametrize("depth", sorted(GOLDEN_PREFIXES_5))
+def test_golden_partition_prefixes(depth):
+    for (spec, _, _), (size, digest) in zip(GOLDEN_5, GOLDEN_PREFIXES_5[depth]):
+        prefixes = [list(t.prefix) for t in partition_tasks(5, spec, depth)]
+        assert len(prefixes) == size
+        assert hashlib.sha256(json.dumps(prefixes).encode()).hexdigest() == digest
+
+
 def test_split_shares_checker_caches(monkeypatch):
     # the first-row tasks of one call share its checkers, so splitting makes
     # no more containment checks than the one-task run
@@ -178,6 +238,40 @@ def test_split_shares_checker_caches(monkeypatch):
         assert count_squares(5, spec, split_depth=depth).count == 26928
         per_depth.append(calls[0])
     assert per_depth[0] == per_depth[1] > 0
+
+
+def test_one_row_table_per_call(monkeypatch):
+    # every task of a call walks the one row table built for that call
+    made = []
+
+    class Recording(enumeration.Automata):
+        def __init__(self, n, spec):
+            super().__init__(n, spec)
+            made.append(self)
+
+    monkeypatch.setattr(enumeration, "Automata", Recording)
+    monkeypatch.setattr(analysis, "Automata", Recording)
+
+    def entries_built(call):
+        made.clear()
+        call()
+        assert len(made) == 1
+        return len(made[0].table)
+
+    spec = AvoidanceSpec.both((1, 2, 3, 4))
+    per_depth = [entries_built(lambda: count_squares(5, spec, split_depth=d)) for d in (0, 5)]
+    assert per_depth[0] == per_depth[1] > 0
+    full_scan = entries_built(lambda: count_squares(5))
+    assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
+
+
+def test_row_table_budget_keeps_answers(monkeypatch):
+    # states past the budget are searched again on each visit, not stored
+    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
+    spec, count, nodes = GOLDEN_5[1]
+    automata = enumeration.Automata(5, spec)
+    assert _run_search(5, spec, automata=automata) == (count, nodes[0])
+    assert len(automata.table) == 50
 
 
 def test_search_rejects_prefix_that_is_not_latin():
