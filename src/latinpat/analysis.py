@@ -314,12 +314,12 @@ def wilf_classes(
     patterns = list(itertools.permutations(range(1, k + 1)))
     counts: dict[Perm, int] = {}
 
-    if mode == "pruned" or k > n:
-        # patterns longer than n are avoided by every square; pruned search
-        # handles that uniformly
+    if mode == "pruned":
         for p in patterns:
             counts[p] = count_squares(n, AvoidanceSpec.both(p), jobs=jobs).count
     else:
+        # a pattern longer than n leaves its bit clear in every square's
+        # mask, so it gets the full count
         bit_of = _pattern_bits(k)
         tally: Counter = Counter()
         automata = Automata(n, EMPTY_SPEC)

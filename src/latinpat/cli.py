@@ -100,7 +100,7 @@ def _count_csv(value: dict) -> str:
 
 
 def _progress_emitter(args) -> Callable[[int, int], None] | None:
-    if getattr(args, "progress", None) != "json":
+    if args.progress != "json":
         return None
 
     def emit(done: int, total: int) -> None:
@@ -226,14 +226,17 @@ def _add_avoid_flags(p: argparse.ArgumentParser) -> None:
                    help="pattern the symbol permutations must avoid")
 
 
-def _add_common_flags(p: argparse.ArgumentParser, formats=("json", "csv", "table")) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, formats=("json", "csv", "table"),
+                      *, timings: bool = False, progress: bool = False) -> None:
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (affects wall time only, never output)")
-    p.add_argument("--timings", action="store_true",
-                   help="report elapsed time on stderr")
-    p.add_argument("--progress", choices=["json"],
-                   help="emit machine-readable progress lines on stderr")
+    if timings:
+        p.add_argument("--timings", action="store_true",
+                       help="report elapsed time on stderr")
+    if progress:
+        p.add_argument("--progress", choices=["json"],
+                       help="emit machine-readable progress lines on stderr")
 
 
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_avoid_flags(p)
     p.add_argument("--max-order", type=int, default=None,
                    help="raise the unrestricted-enumeration order bound (default 6)")
-    _add_common_flags(p)
+    _add_common_flags(p, timings=True, progress=True)
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_count)
 
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     _add_avoid_flags(p)
     p.add_argument("--max-order", type=int, default=None)
-    _add_common_flags(p, formats=("json",))
+    _add_common_flags(p, formats=("json",), progress=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("construct", help="emit squares built in closed form")

@@ -2,9 +2,13 @@
 Direct constructive generators: the unique column-avoiding completions of a
 fixed anchor row, the n cyclic squares avoiding a given length-3 pattern,
 and the modular square whose longest line-monotone subsequence stays small.
-No searching happens here; every square is written down in closed form or by
-the iterative column-filling procedure, and the enumeration engine is used
-only in the test suite to confirm uniqueness.
+No searching happens here; every square is written down in closed form, and
+the enumeration engine is used only in the test suite to confirm uniqueness.
+
+Both length-3 constructions rest on one fact: in those squares every column,
+read top to bottom, runs cyclically through 1..n, downward (..., 2, 1, n,
+n-1, ...) for 1-2-3, 2-3-1 and 3-1-2, upward for 1-3-2, 2-1-3 and 3-2-1.  So
+a square is fixed by one row and the direction of its columns.
 """
 from __future__ import annotations
 
@@ -12,12 +16,11 @@ from typing import Sequence
 
 from . import perm
 from .perm import Perm, as_perm
-from .square import LatinSquare, flip_vertical, latin_square, relabel, rotate180
+from .square import LatinSquare, latin_square, relabel, rotate180
 
-#: length-3 patterns whose avoiders are built from cyclic *decreasing* lines
+#: length-3 patterns whose avoiders are built from cyclic *decreasing* lines;
+#: the other three are built from cyclic increasing lines
 DECREASING_PATTERNS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
-#: length-3 patterns whose avoiders are built from cyclic *increasing* lines
-INCREASING_PATTERNS = {(1, 3, 2), (2, 1, 3), (3, 2, 1)}
 
 #: patterns for which the anchor row sits at the bottom of the square
 BOTTOM_ANCHORED = {(2, 3, 1), (2, 1, 3)}
@@ -30,60 +33,15 @@ def _require_s3(pattern: Sequence[int]) -> Perm:
     return p
 
 
-def _fill_columns_123(first_row: Perm) -> LatinSquare:
-    """
-    The unique square with the given top row whose columns avoid 1-2-3.
-
-    Iterative construction: process anchors 1, 2, ..., n-1 in turn.  In the
-    column topped by anchor a, the values below a are forced: everything
-    smaller than a descends immediately under it, everything larger than a
-    descends through the bottom rows.  The column topped by n is then
-    completed row by row through elimination.
-    """
-    n = len(first_row)
-    grid = [[0] * n for _ in range(n)]
-    grid[0] = list(first_row)
-    position = {a: j for j, a in enumerate(first_row)}
-    for a in range(1, n):
-        j = position[a]
-        for r, v in enumerate(range(a - 1, 0, -1), start=1):
-            grid[r][j] = v
-        for r, v in enumerate(range(n, a, -1), start=a):
-            grid[r][j] = v
-    j_last = position[n]
-    for r in range(1, n):
-        grid[r][j_last] = n * (n + 1) // 2 - sum(grid[r])  # the row's missing value
-    return latin_square(grid)
+def _step(p: Perm) -> int:
+    """How a line avoiding the length-3 pattern p moves: -1 down, +1 up."""
+    return -1 if p in DECREASING_PATTERNS else 1
 
 
-def _fill_columns_132(first_row: Perm) -> LatinSquare:
-    """
-    The unique square with the given top row whose columns avoid 1-3-2:
-    values above the anchor ascend right below it, values below the anchor
-    ascend through the bottom rows.  The column topped by n is completed by
-    elimination.
-    """
-    n = len(first_row)
-    grid = [[0] * n for _ in range(n)]
-    grid[0] = list(first_row)
-    position = {a: j for j, a in enumerate(first_row)}
-    for a in range(1, n):
-        j = position[a]
-        for r, v in enumerate(range(a + 1, n + 1), start=1):
-            grid[r][j] = v
-        for r, v in enumerate(range(1, a), start=n - a + 1):
-            grid[r][j] = v
-    j_last = position[n]
-    for r in range(1, n):
-        grid[r][j_last] = n * (n + 1) // 2 - sum(grid[r])
-    return latin_square(grid)
-
-
-def _complemented(builder, first_row: Perm) -> LatinSquare:
-    # Solve for the complement pattern on the complemented anchor row, then
-    # complement every entry back.
-    comp_row = perm.complement(first_row)
-    return relabel(builder(comp_row), perm.complement(perm.identity(len(first_row))))
+def _cyclic_columns(anchor: Sequence[int], step: int, r0: int) -> LatinSquare:
+    """The square holding `anchor` in row r0 whose columns move by `step` (mod n) per row."""
+    n = len(anchor)
+    return latin_square([[(a - 1 + step * (r - r0)) % n + 1 for a in anchor] for r in range(n)])
 
 
 def complete_columns_avoiding(anchor_row: Sequence[int], pattern: Sequence[int]) -> LatinSquare:
@@ -92,23 +50,14 @@ def complete_columns_avoiding(anchor_row: Sequence[int], pattern: Sequence[int])
     anchored on the given row.
 
     For patterns 1-2-3, 1-3-2, 3-1-2 and 3-2-1 the anchor is the *top* row;
-    for 2-3-1 and 2-1-3 the completion runs upward instead, and the anchor
-    is the *bottom* row.
+    for 2-3-1 and 2-1-3 it is the *bottom* row.  Read top to bottom, every
+    column steps cyclically down by one for 1-2-3, 2-3-1 and 3-1-2, and up
+    by one for the rest.
     """
     anchor_row = as_perm(anchor_row)
     p = _require_s3(pattern)
-    if p == (1, 2, 3):
-        return _fill_columns_123(anchor_row)
-    if p == (1, 3, 2):
-        return _fill_columns_132(anchor_row)
-    if p == (3, 2, 1):
-        return _complemented(_fill_columns_123, anchor_row)
-    if p == (3, 1, 2):
-        return _complemented(_fill_columns_132, anchor_row)
-    # bottom-anchored cases: flip the square built for the reversed pattern
-    if p == (2, 3, 1):
-        return flip_vertical(_fill_columns_132(anchor_row))
-    return flip_vertical(_complemented(_fill_columns_132, anchor_row))  # 2-1-3
+    r0 = len(anchor_row) - 1 if p in BOTTOM_ANCHORED else 0
+    return _cyclic_columns(anchor_row, _step(p), r0)
 
 
 def construct_s3_avoider(n: int, pattern: Sequence[int], start: int) -> LatinSquare:
@@ -120,11 +69,8 @@ def construct_s3_avoider(n: int, pattern: Sequence[int], start: int) -> LatinSqu
     p = _require_s3(pattern)
     if not 1 <= start <= n:
         raise ValueError(f"start symbol {start} outside 1..{n}")
-    if p in DECREASING_PATTERNS:
-        grid = [[(start - 1 - r - c) % n + 1 for c in range(n)] for r in range(n)]
-    else:
-        grid = [[(start - 1 + r + c) % n + 1 for c in range(n)] for r in range(n)]
-    return latin_square(grid)
+    step = _step(p)
+    return _cyclic_columns([(start - 1 + step * c) % n + 1 for c in range(n)], step, 0)
 
 
 def all_s3_avoiders(n: int, pattern: Sequence[int]) -> list[LatinSquare]:

@@ -228,11 +228,6 @@ def reflect_vertical(sq: LatinSquare) -> LatinSquare:
     return _trusted_square(tuple(tuple(reversed(row)) for row in sq.grid))
 
 
-def flip_vertical(sq: LatinSquare) -> LatinSquare:
-    """Reflect through the horizontal axis; reverses every column."""
-    return _trusted_square(tuple(reversed(sq.grid)))
-
-
 def transpose(sq: LatinSquare) -> LatinSquare:
     return _trusted_square(tuple(zip(*sq.grid)))
 

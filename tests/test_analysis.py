@@ -212,6 +212,12 @@ def test_wilf_filter_matches_pruned():
     p4 = wilf_classes(4, 4, mode="pruned")
     assert f4.counts == p4.counts
     assert set(f4.counts.values()) == {400}
+    # patterns longer than the order: the filter scan gives them the full count
+    for k, n, total in ((4, 3, 12), (5, 4, 576)):
+        f = wilf_classes(k, n, mode="filter", force=True)
+        p = wilf_classes(k, n, mode="pruned", force=True)
+        assert f.counts == p.counts
+        assert set(f.counts.values()) == {total}
 
 
 def test_wilf_pattern_longer_than_order():

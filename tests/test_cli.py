@@ -83,6 +83,16 @@ def test_count_progress_lines(capsys):
     assert events[-1]["tasks_done"] == events[-1]["tasks_total"] == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["wilf", "--length", "3", "--order", "3", "--progress", "json"],
+    ["lambda", "--order", "3", "--exhaustive", "--timings"],
+], ids=["wilf-progress", "lambda-timings"])
+def test_flag_the_command_would_ignore_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -94,6 +104,14 @@ def test_enumerate_streams_squares(capsys):
     assert len(lines) == 12
     first = json.loads(lines[0])
     assert first == {"grid": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "order": 3}
+
+
+def test_enumerate_progress_done_event(capsys):
+    _, plain, _ = run(capsys, "enumerate", "--order", "3", "--jobs", "1")
+    code, out, err = run(capsys, "enumerate", "--order", "3", "--jobs", "1", "--progress", "json")
+    assert code == 0
+    assert out == plain
+    assert [json.loads(line) for line in err.splitlines()] == [{"event": "done", "squares": 12}]
 
 
 def test_enumerate_with_spec(capsys):

@@ -56,7 +56,7 @@ def test_completion_avoids_pattern_in_columns():
 def test_completion_is_the_unique_one():
     # cross-check against the search engine for every anchor row
     for q in S3:
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for sigma in perms(n):
                 built = complete_columns_avoiding(sigma, q)
                 found = enumerate_with_first_row(
