@@ -9,8 +9,8 @@ automaton state, and a placement costs one table lookup per line.  A
 line's state goes DEAD as soon as its prefix contains a pattern or can no
 longer be completed to an avoiding permutation of 1..n, and nothing below
 a dead prefix is searched.  A side with no patterns gets a one-state
-automaton that takes every symbol.  Symbol-pattern constraints are checked
-at the leaves, by running each symbol permutation through its automaton.
+automaton that takes every symbol.  Symbol lines (row index -> column of
+the symbol) keep one state per symbol too, stepped as each row is placed.
 
 The grid is walked a whole row at a time, after the transfer-matrix method
 (Stanley, EC1 4.7).  The rows that can fill row i depend only on the
@@ -59,7 +59,7 @@ from .square import (
 
 #: version of the engine's answers, nodes_explored included: cached counts
 #: are keyed by it, so a change to any answer must raise it
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 #: hard default ceiling for enumeration whose spec prunes nothing
 DEFAULT_UNRESTRICTED_BOUND = 6
@@ -106,7 +106,9 @@ class EnumerationTask:
 
 
 def _spec_prunes(n: int, spec: AvoidanceSpec) -> bool:
-    # Symbol patterns are leaf checks only, so they never shrink the tree.
+    # A symbol-only count equals the rows-only count of its patterns (symbol
+    # lines are the rows of a conjugate square), and this gate cannot size
+    # that tree, so symbol-only specs keep the unrestricted bound.
     return any(len(p) <= n for p in spec.row_patterns + spec.col_patterns)
 
 
@@ -190,9 +192,10 @@ def _run_search(
     visits add the stored nodes and loop over the stored rows, so
     nodes_explored is the same as a cell-by-cell search's.  Rows holding
     cells of prefix, and a row cut by stop_depth, run fill_row with those
-    cells given or that stop, and are not stored.  A plain count (no
-    on_leaf, no symbol patterns) adds the number of last rows instead of
-    visiting each square.
+    cells given or that stop, and are not stored.  Placing a whole row
+    steps the symbol states, and skips the row if one goes DEAD.  A plain
+    count (no on_leaf, no symbol patterns) adds the number of last rows
+    instead of visiting each square.
     """
     total_cells = n * n
     stop_at = total_cells if stop_depth is None else stop_depth
@@ -203,7 +206,10 @@ def _run_search(
         raise ValueError("prefix longer than the search depth")
 
     auto = automata or Automata(n, spec)
-    table, row_objs, key_objs, sym_auto = auto.table, auto.rows, auto.keys, auto.sym
+    table, row_objs, key_objs = auto.table, auto.rows, auto.keys
+    sym_next = auto.sym and auto.sym.next
+    # sym_at[i]: each symbol's state before row i, rewritten in place
+    sym_at = [[auto.sym.root] * n for _ in range(n + 1)] if sym_next else None
     row_next, row_live, row_root = auto.row.next, auto.row.live, auto.row.root
     col_next, col_live = auto.col.next, auto.col.live
     width = auto.width
@@ -213,8 +219,7 @@ def _run_search(
     stop_row, stop_col = divmod(stop_at, n)
     table_from = -(-forced // n)  # the first row with no cell of prefix
     # a plain count needs only how many rows end each square, not the squares
-    tally = stop_depth is None and on_leaf is None and sym_auto is None
-    last = n - 1
+    tally_row = n - 1 if stop_depth is None and on_leaf is None and not sym_next else -1
     grid: list[tuple[int, ...]] = [()] * n
     nodes = 0
     hits = 0
@@ -260,23 +265,11 @@ def _run_search(
     def accept(i: int, tail: tuple[int, ...] = ()) -> None:
         # rows 0..i-1 are placed, then the cells of tail
         nonlocal hits
+        hits += 1
         if stop_depth is not None:
-            hits += 1
             if on_prefix is not None:
                 on_prefix(tuple(s for row in grid[:i] for s in row) + tail)
-            return
-        if sym_auto:
-            # symbol k's permutation: row index -> column holding k
-            sym = [[0] * n for _ in range(n)]
-            for r in range(n):
-                row = grid[r]
-                for j in range(n):
-                    sym[row[j] - 1][r] = j + 1
-            for p in sym:
-                if not sym_auto.run(p):
-                    return
-        hits += 1
-        if on_leaf is not None:
+        elif on_leaf is not None:
             on_leaf(tuple(grid))
 
     def walk(i: int, key: int) -> None:
@@ -303,10 +296,18 @@ def _run_search(
                 return
             entry = fill_row(key, prefix[start:start + n], n, i)
         nodes += entry[0]
-        if tally and i == last:
+        if i == tally_row:
             hits += len(entry) >> 1
             return
         for k in range(1, len(entry), 2):
+            if sym_next:
+                # symbol s's line gains the column that holds s in this row;
+                # a row is a permutation, so every entry of new is written
+                old, new = sym_at[i], sym_at[i + 1]
+                for j, s in enumerate(entry[k], 1):
+                    new[s - 1] = sym_next[old[s - 1]][j]
+                if DEAD in new:
+                    continue
             grid[i] = entry[k]
             walk(i + 1, entry[k + 1])
 

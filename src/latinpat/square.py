@@ -96,7 +96,10 @@ class LatinRectangle:
             raise ValueError("empty rectangle")
         q = len(grid[0])
         entries = [v for row in grid for v in row]
-        bound = self.alphabet_bound or max(entries)
+        try:
+            bound = _entry(self.alphabet_bound) or max(entries)
+        except TypeError as exc:
+            raise ValueError(f"alphabet_bound must be an integer ({exc})") from None
         object.__setattr__(self, "alphabet_bound", bound)
         for i, row in enumerate(grid):
             if len(row) != q:

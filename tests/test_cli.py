@@ -277,6 +277,17 @@ def test_rect_check_witness(tmp_path, capsys):
     assert payload["witness"] == {"rows": [2, 7], "cols": [1, 5, 9]}
 
 
+@pytest.mark.parametrize("bound", ["5", [1], 2.5, True])
+def test_rect_check_malformed_alphabet_bound_is_invalid(tmp_path, capsys, bound):
+    sq = tmp_path / "sq.txt"
+    sq.write_text(serialize_square(connolly_square(3)))
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps({"grid": [[1, 2]], "alphabet_bound": bound}))
+    code, _, err = run(capsys, "rect-check", "--square", str(sq), "--rectangle", str(rect))
+    assert code == 2
+    assert "alphabet_bound" in err
+
+
 def test_check_json_square_input(tmp_path, capsys):
     sq = tmp_path / "sq.json"
     sq.write_text(json.dumps({"order": 2, "grid": [[1, 2], [2, 1]]}))

@@ -1,7 +1,8 @@
 """
 The compiled prefix automata and the search that runs on them, against
 brute force: permutations filtered by naive containment, and the full
-enumeration filtered line by line.
+enumeration filtered line by line; and symbol-line counts against the row
+counts they equal by conjugacy.
 """
 import itertools
 
@@ -9,9 +10,9 @@ import pytest
 
 from latinpat.enumeration import count_squares, enumerate_squares
 from latinpat.perm import DEAD, prefix_automaton
-from latinpat.square import AvoidanceSpec
+from latinpat.square import EMPTY_SPEC, AvoidanceSpec
 
-from conftest import S3, S4, collect_squares, naive_contains, perms
+from conftest import S3, S4, naive_contains, perms
 
 PATTERN_SETS = [(p,) for p in S3 + S4] + list(itertools.combinations(S3, 2))
 
@@ -32,42 +33,94 @@ def test_prefix_state_is_alive_iff_some_avoider_extends_it(patterns):
         assert all(auto.run((s, s)) == DEAD for s in range(1, n + 1))
 
 
-def _lines(grid):
-    n = len(grid)
-    rows = list(grid)
-    cols = list(zip(*grid))
-    # symbol v's permutation: row index -> column holding v
-    syms = [tuple(row.index(v) + 1 for row in grid) for v in range(1, n + 1)]
-    return rows, cols, syms
+# every pattern the cross-checks use, one bit each
+PATTERNS = S3 + S4
+
+
+def _line_masks(n):
+    # permutation of 1..n -> bit k set when it contains PATTERNS[k]
+    return {
+        q: sum(1 << k for k, p in enumerate(PATTERNS) if naive_contains(q, p))
+        for q in perms(n)
+    }
+
+
+def _square_masks(grids, masks):
+    # per grid, the masks of its rows, its columns and its symbol lines,
+    # each the union over the lines; symbol v's line maps each row index to
+    # the column holding v, so the symbol lines are the columns of the grid
+    # of inverse rows
+    inverse = {q: tuple(q.index(v) + 1 for v in range(1, len(q) + 1)) for q in masks}
+    out = []
+    for g in grids:
+        sides = []
+        for lines in (g, zip(*g), zip(*map(inverse.__getitem__, g))):
+            m = 0
+            for line in lines:
+                m |= masks[line]
+            sides.append(m)
+        out.append(tuple(sides))
+    return out
+
+
+def _filtered(grids, square_masks, spec):
+    r, c, s = (
+        sum(1 << PATTERNS.index(p) for p in side)
+        for side in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns)
+    )
+    return [g for g, (mr, mc, ms) in zip(grids, square_masks) if not (mr & r or mc & c or ms & s)]
 
 
 def _spec_kinds(p):
+    partner = (p[1], p[0]) + p[2:]  # another pattern of the same length
     return [
         AvoidanceSpec.rows_only(p),
         AvoidanceSpec.columns_only(p),
         AvoidanceSpec.both(p),
         AvoidanceSpec(symbol_patterns=(p,)),
         AvoidanceSpec(row_patterns=(p,), symbol_patterns=(p,)),
+        AvoidanceSpec(col_patterns=(p,), symbol_patterns=(p,)),
+        AvoidanceSpec(symbol_patterns=(p, partner)),
     ]
+
+
+def _grids(n, spec=EMPTY_SPEC, jobs=1):
+    got = []
+    enumerate_squares(n, spec, lambda sq: got.append(sq.grid), jobs=jobs)
+    return got
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_equals_filtered_full_enumeration(n):
-    squares = collect_squares(n)
-    lines = [_lines(sq.grid) for sq in squares]
+    grids = _grids(n)
+    square_masks = _square_masks(grids, _line_masks(n))
     for p in S3 + S4:
-        avoids = {q: not naive_contains(q, p) for q in perms(n)}
         for spec in _spec_kinds(p):
-            want = [
-                sq for sq, (rows, cols, syms) in zip(squares, lines)
-                if all(avoids[line] for line in (
-                    (rows if spec.row_patterns else [])
-                    + (cols if spec.col_patterns else [])
-                    + (syms if spec.symbol_patterns else [])
-                ))
-            ]
-            got = []
-            enumerate_squares(n, spec, got.append)
-            assert got == want, (n, spec)
+            want = _filtered(grids, square_masks, spec)
+            assert _grids(n, spec) == want, (n, spec)
             # the split path: first-row tasks sharing one compilation
             assert count_squares(n, spec).count == len(want), (n, spec)
+
+
+def test_symbol_specs_equal_filtered_full_enumeration_order5():
+    grids = _grids(5)
+    square_masks = _square_masks(grids, _line_masks(5))
+    for p in S3:
+        for spec in _spec_kinds(p):
+            if not spec.symbol_patterns:
+                continue
+            want = _filtered(grids, square_masks, spec)
+            assert _grids(5, spec) == want, spec
+            assert _grids(5, spec, jobs=2) == want, spec
+            assert count_squares(5, spec).count == len(want), spec
+
+
+@pytest.mark.parametrize(
+    "n,patterns", [(n, S3) for n in range(1, 6)] + [(n, S4) for n in range(1, 5)] + [(6, [(1, 2, 3)])]
+)
+def test_symbol_count_equals_row_count_of_conjugate(n, patterns):
+    # a symbol line of a square is a row of one of its conjugates, and
+    # conjugation is a bijection on the order-n squares
+    for p in patterns:
+        symbols = count_squares(n, AvoidanceSpec(symbol_patterns=(p,))).count
+        assert symbols == count_squares(n, AvoidanceSpec.rows_only(p)).count, (n, p)

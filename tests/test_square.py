@@ -66,6 +66,8 @@ def test_rectangle_validation():
         latin_rectangle([[1, 2], [3, 2]])
     with pytest.raises(ValueError, match="outside"):
         latin_rectangle([[1, 5]], alphabet_bound=3)
+    with pytest.raises(ValueError, match="alphabet_bound"):
+        latin_rectangle([[1, 2]], alphabet_bound="5")
 
 
 # ---------------------------------------------------------------------------
