@@ -23,11 +23,18 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, analysis, construct, rectpat
-from .enumeration import ENGINE_VERSION, FeasibilityError, count_squares, enumerate_squares
+from .enumeration import (
+    ENGINE_VERSION,
+    FeasibilityError,
+    count_squares,
+    enumerate_squares,
+    render_squares,
+)
 from .perm import find_occurrence, parse_perm
 from .square import (
     AvoidanceSpec,
@@ -281,31 +288,61 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+class _SquareLines(dict):
+    """
+    Renders a grid as its enumerate line, json.dumps(square_to_json(sq),
+    sort_keys=True) and a newline, from one JSON string per distinct row,
+    made on first lookup and kept in this dict.  Picklable, so a pool
+    process renders its own tasks' lines and keeps its copy of the cache
+    across them.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.tail = f'], "order": {n}}}\n'
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = json.dumps(list(row))
+        return text
+
+    def __call__(self, grid) -> str:
+        return '{"grid": [' + ", ".join(map(self.__getitem__, grid)) + self.tail
+
+
 def _cmd_enumerate(args) -> int:
     n = _check_order(args.order)
     spec = _build_spec(args)
     out = sys.stdout
     seen = [0]
     progress = args.progress == "json"
-    # each line is json.dumps(square_to_json(sq), sort_keys=True), built
-    # from one cached JSON string per distinct row
-    row_json: dict[tuple[int, ...], str] = {}
-    tail = f'], "order": {n}}}\n'
+    lines = _SquareLines(n)
 
-    def row_text(row: tuple[int, ...]) -> str:
-        text = row_json.get(row)
-        if text is None:
-            text = row_json[row] = json.dumps(list(row))
-        return text
+    def report(squares: int) -> None:
+        sys.stderr.write(json.dumps({"event": "progress", "squares": squares}) + "\n")
+        sys.stderr.flush()
 
-    def visit(sq) -> None:
-        out.write('{"grid": [' + ", ".join(map(row_text, sq.grid)) + tail)
-        seen[0] += 1
-        if progress and seen[0] % 10000 == 0:
-            sys.stderr.write(json.dumps({"event": "progress", "squares": seen[0]}) + "\n")
-            sys.stderr.flush()
+    if args.jobs > 1:
+        # each task's lines are rendered in its pool process and arrive as
+        # one string; progress reports every 10,000 the task's end crossed
+        texts = render_squares(n, spec, lines, jobs=args.jobs, max_order=args.max_order)
+        with closing(texts):
+            for text in texts:
+                out.write(text)
+                if progress:
+                    done = seen[0] + text.count("\n")
+                    for squares in range((seen[0] // 10000 + 1) * 10000, done + 1, 10000):
+                        report(squares)
+                    seen[0] = done
+    else:
+        # one job streams: a first-row task of unrestricted order 6 alone
+        # holds ~1.13M squares
+        def visit(sq) -> None:
+            out.write(lines(sq.grid))
+            seen[0] += 1
+            if progress and seen[0] % 10000 == 0:
+                report(seen[0])
 
-    enumerate_squares(n, spec, visit, jobs=args.jobs, max_order=args.max_order)
+        enumerate_squares(n, spec, visit, jobs=args.jobs, max_order=args.max_order)
     if progress:
         sys.stderr.write(json.dumps({"event": "done", "squares": seen[0]}) + "\n")
     return EXIT_OK

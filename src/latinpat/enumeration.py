@@ -33,8 +33,9 @@ each, whatever the worker count; merging per-task results in task order
 keeps every output, node counts included, the same for any worker count.
 The automata and the row table are built once per call and shared by all
 of that call's tasks, so the split costs no extra containment checks, and
-at one worker no column state's row search runs twice.  Each chunk of
-tasks sent to a pool worker carries its own copy of the table.
+at one worker no column state's row search runs twice.  A pool process gets
+the call's worker, and with it the table, once when it starts; the table
+then grows across every task that process runs.
 """
 from __future__ import annotations
 
@@ -331,14 +332,32 @@ def _collect_worker(task: EnumerationTask, automata: Automata) -> list[Grid]:
     return grids
 
 
+def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> str:
+    texts: list[str] = []
+    _run_search(
+        task.order, task.spec, task.prefix, on_leaf=lambda g: texts.append(render(g)), automata=automata
+    )
+    return "".join(texts)
+
+
 def _worker_count(jobs: int, num_tasks: int) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
 
 
-def _run_chunk(worker: Callable[[T], R], chunk: list[T]) -> list[R]:
-    return [worker(task) for task in chunk]
+#: the worker of this pool process, set once by _install_worker when the
+#: process starts; unset in any process that is not a pool worker
+_pool_worker: Callable | None = None
+
+
+def _install_worker(worker: Callable[[T], R]) -> None:
+    global _pool_worker
+    _pool_worker = worker
+
+
+def _run_chunk(chunk: list[T]) -> list[R]:
+    return [_pool_worker(task) for task in chunk]
 
 
 def map_tasks(
@@ -351,8 +370,11 @@ def map_tasks(
     Yield worker(task) for every task, in task order, whatever the worker
     count.  One worker runs the tasks in this process; more run them in a
     process pool, in chunks, with a bounded number of chunks in flight so
-    results never pile up ahead of a slow consumer.  Closing the iterator
-    early cancels the queued chunks.  progress(done, total) follows each task.
+    results never pile up ahead of a slow consumer.  Each pool process
+    receives worker once, when it starts, and chunks carry only their
+    tasks, so state the worker holds (such as a call's row table) lives on
+    in its process across chunks.  Closing the iterator early cancels the
+    queued chunks.  progress(done, total) follows each task.
     """
     workers = _worker_count(jobs, len(tasks))
     total = len(tasks)
@@ -365,15 +387,15 @@ def map_tasks(
         return
     size = max(1, total // (workers * 4))
     chunks = (list(tasks[i:i + size]) for i in range(0, total, size))
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_worker, initargs=(worker,))
     try:
-        in_flight = deque(pool.submit(_run_chunk, worker, c) for c in islice(chunks, 2 * workers))
+        in_flight = deque(pool.submit(_run_chunk, c) for c in islice(chunks, 2 * workers))
         done = 0
         while in_flight:
             results = in_flight.popleft().result()
             chunk = next(chunks, None)
             if chunk is not None:
-                in_flight.append(pool.submit(_run_chunk, worker, chunk))
+                in_flight.append(pool.submit(_run_chunk, chunk))
             for result in results:
                 done += 1
                 if progress is not None:
@@ -472,6 +494,29 @@ def enumerate_squares(
         for grids in results:
             for g in grids:
                 visitor(_trusted_square(g))
+
+
+def render_squares(
+    n: int,
+    spec: AvoidanceSpec,
+    render: Callable[[Grid], str],
+    *,
+    jobs: int = 1,
+    max_order: int | None = None,
+) -> Iterator[str]:
+    """
+    Yield the satisfying squares as text: for each first-row task, in task
+    order, the concatenation of render(grid) over the task's squares in
+    lexicographic order.  render runs where the task runs, in a pool process
+    when jobs > 1, so the caller receives one string per task instead of
+    every grid.  It must be picklable, and a pool process keeps its copy,
+    with anything it caches, across all of its tasks.  Closing the iterator
+    early cancels the queued tasks.
+    """
+    check_enumeration_bound(n, spec, max_order)
+    automata = Automata(n, spec)
+    tasks, _ = _partition(n, spec, default_split_depth(n), automata)
+    return map_tasks(partial(_render_worker, automata=automata, render=render), tasks, jobs)
 
 
 def enumerate_with_first_row(

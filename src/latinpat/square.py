@@ -71,7 +71,7 @@ class LatinSquare:
 
 def latin_square(rows: Iterable[Sequence[int]]) -> LatinSquare:
     """Build and validate a Latin square from any nested sequence of ints."""
-    return LatinSquare(_freeze_grid(rows))
+    return LatinSquare(rows)
 
 
 def _trusted_square(grid: Grid) -> LatinSquare:
@@ -124,7 +124,7 @@ class LatinRectangle:
 
 
 def latin_rectangle(rows: Iterable[Sequence[int]], alphabet_bound: int = 0) -> LatinRectangle:
-    return LatinRectangle(_freeze_grid(rows), alphabet_bound)
+    return LatinRectangle(rows, alphabet_bound)
 
 
 # ---------------------------------------------------------------------------

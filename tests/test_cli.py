@@ -146,6 +146,24 @@ def test_enumerate_order_5_bytes(capsys):
     assert digest == "8ba4bd79604dc07ff386ecf08a29bb1cea3500fb2ec63f4a4b3006ad072b16a6"
 
 
+def test_enumerate_order_5_same_output_and_progress_at_jobs_1_and_2(capsys):
+    # --jobs 2 renders whole tasks in the pool and reports progress as each
+    # task's lines arrive; stdout and stderr must still match --jobs 1
+    one, two = (run(capsys, "enumerate", "--order", "5", "--progress", "json", "--jobs", j) for j in "12")
+    assert one == two
+    assert one[0] == 0
+    events = [json.loads(line) for line in one[2].splitlines()]
+    assert events[:-1] == [{"event": "progress", "squares": k * 10000} for k in range(1, 17)]
+    assert events[-1] == {"event": "done", "squares": 161280}
+
+
+def test_enumerate_symbol_spec_same_output_at_jobs_1_and_2(capsys):
+    argv = ("enumerate", "--order", "5", "--avoid-rows", "132", "--avoid-symbols", "123")
+    one, two = (run(capsys, *argv, "--jobs", j) for j in "12")
+    assert one == two
+    assert one[0] == 0 and one[1]
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

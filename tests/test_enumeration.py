@@ -319,6 +319,28 @@ def test_map_tasks_keeps_task_order_and_reports_progress():
     assert seen == [(i, 40) for i in range(1, 41)]
 
 
+class CountingWorker:
+    """Counts its own calls: a copy sent with each chunk restarts at zero."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, task: int) -> tuple[int, int]:
+        self.calls += 1
+        return os.getpid(), self.calls
+
+
+def test_map_tasks_installs_the_worker_once_per_process():
+    # 40 tasks on 2 workers go out in chunks of 5; a process that reports
+    # more calls than that kept one worker across chunks
+    results = list(map_tasks(CountingWorker(), list(range(40)), 2))
+    most = {}
+    for pid, calls in results:
+        most[pid] = max(most.get(pid, 0), calls)
+    assert sum(most.values()) == 40
+    assert max(most.values()) > 5
+
+
 # ---------------------------------------------------------------------------
 # task partitioning
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latinpat import construct, perm
+from latinpat import construct, perm, square
 from latinpat.square import (
     AvoidanceSpec,
     EMPTY_SPEC,
@@ -68,6 +68,22 @@ def test_rectangle_validation():
         latin_rectangle([[1, 5]], alphabet_bound=3)
     with pytest.raises(ValueError, match="alphabet_bound"):
         latin_rectangle([[1, 2]], alphabet_bound="5")
+
+
+def test_builders_check_each_entry_once(monkeypatch):
+    calls = [0]
+    entry = square._entry
+
+    def counted(x):
+        calls[0] += 1
+        return entry(x)
+
+    monkeypatch.setattr(square, "_entry", counted)
+    assert latin_square([[1, 2], [2, 1]]).grid == ((1, 2), (2, 1))
+    assert calls[0] == 4
+    calls[0] = 0
+    assert latin_rectangle([[1, 2, 3], [2, 3, 1]], alphabet_bound=3).alphabet_bound == 3
+    assert calls[0] == 7  # six entries and the bound
 
 
 # ---------------------------------------------------------------------------
