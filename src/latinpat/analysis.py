@@ -23,13 +23,11 @@ from .enumeration import (
     Automata,
     EnumerationTask,
     FeasibilityError,
-    _partition,
+    _pooled_scan,
     _run_search,
     count_column_avoiders,
     count_squares,
-    default_split_depth,
     enumerate_squares,
-    map_tasks,
 )
 from .perm import Perm
 from .square import (
@@ -166,7 +164,7 @@ def _raise_found(sq: LatinSquare) -> None:
     raise _Found(sq)
 
 
-def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
+def compute_lambda_exhaustive(n: int) -> LambdaReport:
     """
     Exact minimax: the smallest max_monotone over all order-n squares, with
     the lexicographically first square attaining it as witness.
@@ -175,9 +173,9 @@ def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
     in every row and column, which the pruned search decides.  m runs up
     from one below the proven lower bound, so a square found there fails
     the lower-bound check; at m = n the patterns are longer than n and a
-    square always exists.  The search visits squares in lexicographic
-    order at any jobs, so its first square at the least feasible m is the
-    witness.  Feasible for n <= LAMBDA_EXHAUSTIVE_BOUND.
+    square always exists.  Each search runs in this process and visits
+    squares in lexicographic order, so its first square at the least
+    feasible m is the witness.  Feasible for n <= LAMBDA_EXHAUSTIVE_BOUND.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -190,7 +188,7 @@ def compute_lambda_exhaustive(n: int, *, jobs: int = 1) -> LambdaReport:
     for value in itertools.count(lower - 1):
         spec = AvoidanceSpec.both(tuple(range(1, value + 2)), tuple(range(value + 1, 0, -1)))
         try:
-            enumerate_squares(n, spec, _raise_found, jobs=jobs)
+            enumerate_squares(n, spec, _raise_found)
         except _Found as hit:
             witness = hit.args[0]
             break
@@ -322,10 +320,8 @@ def wilf_classes(
         # mask, so it gets the full count
         bit_of = _pattern_bits(k)
         tally: Counter = Counter()
-        automata = Automata(n, EMPTY_SPEC)
-        tasks, _ = _partition(n, EMPTY_SPEC, default_split_depth(n), automata)
-        worker = partial(_wilf_worker, k=k, cache={}, automata=automata)
-        for part in map_tasks(worker, tasks, jobs):
+        _, parts = _pooled_scan(n, EMPTY_SPEC, partial(_wilf_worker, k=k, cache={}), jobs)
+        for part in parts:
             tally.update(part)
         for p, b in bit_of.items():
             counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)

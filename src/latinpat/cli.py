@@ -190,12 +190,15 @@ def _cache_store(args) -> CacheStore | None:
 
 def _cached(args, key: dict, compute: Callable[[], dict]) -> dict:
     """
-    Fetch from the cache or compute and store.  With --verify-cache a hit is
-    recomputed and any discrepancy aborts the program.
+    Fetch from the cache or compute and store.  Every key carries
+    ENGINE_VERSION, so an entry stored by another engine is never served.
+    With --verify-cache a hit is recomputed and any discrepancy aborts the
+    program.
     """
     store = _cache_store(args)
     if store is None:
         return compute()
+    key = {**key, "engine": ENGINE_VERSION}
     hit = store.lookup(key)
     if hit is not None:
         if getattr(args, "verify_cache", False):
@@ -280,7 +283,7 @@ def _cmd_count(args) -> int:
         result = count_squares(n, spec, jobs=args.jobs, max_order=args.max_order, progress=progress)
         return result.to_dict()
 
-    key = {"op": "count", "order": n, "spec": _spec_digest(spec), "engine": ENGINE_VERSION}
+    key = {"op": "count", "order": n, "spec": _spec_digest(spec)}
     value = _cached(args, key, compute)
     if args.timings:
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
@@ -342,7 +345,7 @@ def _cmd_enumerate(args) -> int:
             if progress and seen[0] % 10000 == 0:
                 report(seen[0])
 
-        enumerate_squares(n, spec, visit, jobs=args.jobs, max_order=args.max_order)
+        enumerate_squares(n, spec, visit, max_order=args.max_order)
     if progress:
         sys.stderr.write(json.dumps({"event": "done", "squares": seen[0]}) + "\n")
     return EXIT_OK
@@ -378,7 +381,7 @@ def _cmd_lambda(args) -> int:
     n = _check_order(args.order)
     if args.exhaustive:
         key = {"op": "lambda-exhaustive", "order": n}
-        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(n, jobs=args.jobs).to_json())
+        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(n).to_json())
     else:
         value = analysis.lambda_bound_report(n).to_json()
     _emit(value, args.format, analysis.lambda_csv)
@@ -539,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("theorem6", help="full-length pattern counts match their closed forms")
     v.add_argument("--order", type=int, required=True)
     v.add_argument("--patterns", nargs="*", help="full-length patterns to sample")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    v.add_argument("--format", choices=("json", "table"), default="json")
+    _add_common_flags(v, formats=("json", "table"))
     v.set_defaults(func=_cmd_verify)
 
     v = vsub.add_parser("corollary6", help="all-or-none containment of the two length-3 triples")
@@ -566,6 +568,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`latinpat enumerate ... | head`): not an

@@ -28,14 +28,16 @@ nodes_explored means what it did when every row was searched cell by cell.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
-Every scan is cut at the first row into disjoint prefix subtrees, one task
-each, whatever the worker count; merging per-task results in task order
-keeps every output, node counts included, the same for any worker count.
-The automata and the row table are built once per call and shared by all
-of that call's tasks, so the split costs no extra containment checks, and
-at one worker no column state's row search runs twice.  A pool process gets
-the call's worker, and with it the table, once when it starts; the table
-then grows across every task that process runs.
+enumerate_squares streams every square from one search in this process.
+Every other scan (count_squares, render_squares, the Wilf filter) is set
+up by _pooled_scan: cut at the first row into disjoint prefix subtrees,
+one task each, whatever the worker count; merging per-task results in task
+order keeps every output, node counts included, the same for any worker
+count.  The automata and the row table are built once per call and shared
+by all of that call's tasks, so the split costs no extra containment
+checks, and at one worker no column state's row search runs twice.  A pool
+process gets the call's worker, and with it the table, once when it
+starts; the table then grows across every task that process runs.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -326,12 +327,6 @@ def _count_worker(task: EnumerationTask, automata: Automata) -> tuple[int, int]:
     return _run_search(task.order, task.spec, task.prefix, automata=automata)
 
 
-def _collect_worker(task: EnumerationTask, automata: Automata) -> list[Grid]:
-    grids: list[Grid] = []
-    _run_search(task.order, task.spec, task.prefix, on_leaf=grids.append, automata=automata)
-    return grids
-
-
 def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> str:
     texts: list[str] = []
     _run_search(
@@ -405,30 +400,44 @@ def map_tasks(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _partition(
-    n: int, spec: AvoidanceSpec, split_depth: int, automata: Automata | None = None
-) -> tuple[list[EnumerationTask], int]:
-    if not 0 <= split_depth <= n * n:
-        raise ValueError(f"split_depth {split_depth} outside 0..{n * n}")
-    prefixes: list[tuple[int, ...]] = []
-    _, nodes = _run_search(
-        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata
-    )
-    tasks = [EnumerationTask(n, spec, p) for p in prefixes]
-    return tasks, nodes
-
-
 def partition_tasks(n: int, spec: AvoidanceSpec, split_depth: int) -> list[EnumerationTask]:
     """
     Split the search space into tasks with pairwise-disjoint subtree domains
     covering the whole space; per-task counts sum to the full count.
     """
-    return _partition(n, spec, split_depth)[0]
+    prefixes: list[tuple[int, ...]] = []
+    _run_search(n, spec, stop_depth=split_depth, on_prefix=prefixes.append)
+    return [EnumerationTask(n, spec, p) for p in prefixes]
 
 
 def default_split_depth(n: int) -> int:
     """Partition boundary of every scan: the whole first row."""
     return n
+
+
+def _pooled_scan(
+    n: int,
+    spec: AvoidanceSpec,
+    worker: Callable[..., R],
+    jobs: int,
+    *,
+    split_depth: int | None = None,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[int, Iterator[R]]:
+    """
+    Set up a scan that runs as prefix tasks: build the call's Automata, split
+    at split_depth cells (default: the first row) and return the split's
+    nodes with map_tasks of worker, given automata=, over the tasks.
+    """
+    if split_depth is None:
+        split_depth = default_split_depth(n)
+    automata = Automata(n, spec)
+    prefixes: list[tuple[int, ...]] = []
+    _, nodes = _run_search(
+        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata
+    )
+    tasks = [EnumerationTask(n, spec, p) for p in prefixes]
+    return nodes, map_tasks(partial(worker, automata=automata), tasks, jobs, progress)
 
 
 def count_squares(
@@ -450,12 +459,11 @@ def count_squares(
     """
     check_enumeration_bound(n, spec, max_order)
     t0 = time.perf_counter()
-    if split_depth is None:
-        split_depth = default_split_depth(n)
-    automata = Automata(n, spec)
-    tasks, nodes = _partition(n, spec, split_depth, automata)
+    nodes, results = _pooled_scan(
+        n, spec, _count_worker, jobs, split_depth=split_depth, progress=progress
+    )
     count = 0
-    for c, nd in map_tasks(partial(_count_worker, automata=automata), tasks, jobs, progress):
+    for c, nd in results:
         count += c
         nodes += nd
     return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
@@ -471,29 +479,15 @@ def enumerate_squares(
     spec: AvoidanceSpec,
     visitor: Callable[[LatinSquare], None],
     *,
-    jobs: int = 1,
     max_order: int | None = None,
 ) -> None:
     """
     Invoke visitor exactly once per satisfying square, in lexicographic order
-    of the row-major grid.  One job streams squares straight from the search;
-    more buffer per first-row task and replay in task order, so the visit
-    order never depends on the worker count.
+    of the row-major grid, streamed straight from the search in this
+    process.  A visitor that raises stops the search.
     """
     check_enumeration_bound(n, spec, max_order)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        # a first-row task of unrestricted order 6 alone holds ~1.13M squares
-        _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
-        return
-    automata = Automata(n, spec)
-    tasks, _ = _partition(n, spec, default_split_depth(n), automata)
-    worker = partial(_collect_worker, automata=automata)
-    with closing(map_tasks(worker, tasks, jobs)) as results:
-        for grids in results:
-            for g in grids:
-                visitor(_trusted_square(g))
+    _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
 
 
 def render_squares(
@@ -514,9 +508,7 @@ def render_squares(
     early cancels the queued tasks.
     """
     check_enumeration_bound(n, spec, max_order)
-    automata = Automata(n, spec)
-    tasks, _ = _partition(n, spec, default_split_depth(n), automata)
-    return map_tasks(partial(_render_worker, automata=automata, render=render), tasks, jobs)
+    return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)[1]
 
 
 def enumerate_with_first_row(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from latinpat import analysis
@@ -14,6 +16,7 @@ from latinpat.analysis import (
     verify_triple_containment,
     wilf_classes,
 )
+from latinpat.cli import main
 from latinpat.construct import connolly_square
 from latinpat.enumeration import FeasibilityError
 from latinpat.perm import longest_monotone
@@ -78,18 +81,23 @@ def test_lambda_exhaustive_refuses_large_order():
         compute_lambda_exhaustive(6)
 
 
-def test_lambda_parallel_matches_serial():
-    serial = compute_lambda_exhaustive(4)
-    parallel = compute_lambda_exhaustive(4, jobs=4)
-    assert parallel.exact_value == serial.exact_value
-    assert parallel.witness == serial.witness
+def _cli_lambda(capsys, n, jobs):
+    # stdout of the CLI's lambda --exhaustive, which searches serially at any --jobs
+    assert main(["lambda", "--order", str(n), "--exhaustive", "--jobs", str(jobs), "--no-cache"]) == 0
+    return capsys.readouterr().out
+
+
+def _value_and_witness(out):
+    d = json.loads(out)
+    return d["exact_value"], tuple(map(tuple, d["witness"]["grid"]))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_lambda_exhaustive_matches_naive_minimax(n, jobs):
-    report = compute_lambda_exhaustive(n, jobs=jobs)
+def test_lambda_exhaustive_matches_naive_minimax(capsys, n, jobs):
+    report = compute_lambda_exhaustive(n)
     assert (report.exact_value, report.witness.grid) == naive_minimax(n)
+    assert _value_and_witness(_cli_lambda(capsys, n, jobs)) == naive_minimax(n)
 
 
 # The lexicographically first order-5 square with no line monotone beyond 3,
@@ -99,14 +107,16 @@ LAMBDA_5_WITNESS = ((1, 2, 5, 4, 3), (3, 1, 4, 5, 2), (5, 3, 1, 2, 4), (4, 5, 2,
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_lambda_exhaustive_order5_witness(jobs):
-    report = compute_lambda_exhaustive(5, jobs=jobs)
+def test_lambda_exhaustive_order5_witness(capsys, jobs):
+    report = compute_lambda_exhaustive(5)
     assert (report.exact_value, report.witness.grid) == (3, LAMBDA_5_WITNESS)
+    assert _value_and_witness(_cli_lambda(capsys, 5, jobs)) == (3, LAMBDA_5_WITNESS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_lambda_exhaustive_json_same_for_jobs(n):
-    assert compute_lambda_exhaustive(n, jobs=1).to_json() == compute_lambda_exhaustive(n, jobs=2).to_json()
+def test_lambda_exhaustive_json_same_for_jobs(capsys, n):
+    want = json.dumps(compute_lambda_exhaustive(n).to_json(), sort_keys=True) + "\n"
+    assert _cli_lambda(capsys, n, 1) == _cli_lambda(capsys, n, 2) == want
 
 
 @pytest.mark.parametrize("n, value", [(2, 2), (3, 3), (4, 3), (5, 3)])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latinpat import cli
+from latinpat import cli, enumeration
 from latinpat.cli import main
 from latinpat.construct import connolly_square
 from latinpat.enumeration import count_squares, enumerate_squares
@@ -410,6 +410,21 @@ def test_cache_entry_from_an_older_engine_is_recomputed(tmp_path, capsys):
     assert json.loads(out)["nodes_explored"] != 1
 
 
+@pytest.mark.parametrize("key, argv", [
+    ({"op": "wilf", "length": 3, "order": 3, "mode": "filter"}, ["wilf", "--length", "3", "--order", "3"]),
+    ({"op": "lambda-exhaustive", "order": 3}, ["lambda", "--order", "3", "--exhaustive"]),
+], ids=["wilf", "lambda"])
+def test_unversioned_entry_is_recomputed(tmp_path, capsys, key, argv):
+    # the key layout before every key carried the engine version
+    cli.CacheStore(tmp_path).store(key, {"stale": True})
+    argv = argv + ["--jobs", "1"]
+    _, fresh, _ = run(capsys, *argv, "--no-cache")
+    code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == fresh
+    assert "stale" not in out
+
+
 def test_cache_respects_spec_digest(tmp_path, capsys):
     run(capsys, "count", "--order", "4", "--avoid", "123", "--jobs", "1",
         "--cache-dir", str(tmp_path))
@@ -563,12 +578,32 @@ def test_unreadable_entries_are_reported_and_never_served(tmp_path, capsys):
 # exit codes
 # ---------------------------------------------------------------------------
 
+JOBS_COMMANDS = [
+    ["count", "--order", "3"],
+    ["enumerate", "--order", "3"],
+    ["lambda", "--order", "4", "--exhaustive", "--no-cache"],
+    ["lambda", "--order", "4", "--bounds"],
+    ["wilf", "--length", "3", "--order", "3", "--no-cache"],
+    ["verify", "theorem6", "--order", "3"],
+]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_is_invalid(capsys, jobs):
-    code, out, err = run(capsys, "count", "--order", "3", "--jobs", jobs)
-    assert code == 2
-    assert out == ""
-    assert "jobs" in err
+    for argv in JOBS_COMMANDS:
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert (code, out) == (2, ""), argv
+        assert "jobs" in err, argv
+
+
+def test_lambda_exhaustive_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("lambda --exhaustive started a process pool")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "lambda", "--order", "5", "--exhaustive", "--jobs", "2", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["exact_value"] == 3
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

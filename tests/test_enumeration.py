@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from latinpat import analysis, construct, enumeration, perm
+from latinpat import analysis, cli, construct, enumeration, perm
 from latinpat.cli import main
 from latinpat.enumeration import (
     EnumerationTask,
@@ -15,10 +15,10 @@ from latinpat.enumeration import (
     count_column_avoiders,
     count_reduced_squares,
     count_squares,
-    enumerate_squares,
     enumerate_with_first_row,
     map_tasks,
     partition_tasks,
+    render_squares,
 )
 from latinpat.square import (
     EMPTY_SPEC,
@@ -287,9 +287,10 @@ def test_search_rejects_prefix_that_is_not_latin():
 
 
 def test_parallel_enumerate_order(squares4):
-    got = []
-    enumerate_squares(4, EMPTY_SPEC, got.append, jobs=4)
-    assert got == squares4
+    # the pool path of the CLI's parallel enumerate: one string per task
+    lines = cli._SquareLines(4)
+    got = "".join(render_squares(4, EMPTY_SPEC, lines, jobs=4))
+    assert got == "".join(lines(sq.grid) for sq in squares4)
 
 
 def test_worker_count_is_clamped_to_tasks_and_cpus():
@@ -308,8 +309,6 @@ def test_jobs_below_one_rejected(jobs):
         list(map_tasks(abs, [1, 2], jobs))
     with pytest.raises(ValueError, match="jobs"):
         count_squares(3, jobs=jobs)
-    with pytest.raises(ValueError, match="jobs"):
-        enumerate_squares(3, EMPTY_SPEC, lambda sq: None, jobs=jobs)
 
 
 def test_map_tasks_keeps_task_order_and_reports_progress():

@@ -5,10 +5,12 @@ enumeration filtered line by line; and symbol-line counts against the row
 counts they equal by conjugacy.
 """
 import itertools
+import json
 
 import pytest
 
-from latinpat.enumeration import count_squares, enumerate_squares
+from latinpat import cli
+from latinpat.enumeration import count_squares, enumerate_squares, render_squares
 from latinpat.perm import DEAD, prefix_automaton
 from latinpat.square import EMPTY_SPEC, AvoidanceSpec
 
@@ -85,8 +87,12 @@ def _spec_kinds(p):
 
 
 def _grids(n, spec=EMPTY_SPEC, jobs=1):
+    if jobs > 1:
+        # the pool path of the CLI's parallel enumerate
+        text = "".join(render_squares(n, spec, cli._SquareLines(n), jobs=jobs))
+        return [tuple(map(tuple, json.loads(line)["grid"])) for line in text.splitlines()]
     got = []
-    enumerate_squares(n, spec, lambda sq: got.append(sq.grid), jobs=jobs)
+    enumerate_squares(n, spec, lambda sq: got.append(sq.grid))
     return got
 
 
