@@ -314,14 +314,13 @@ def wilf_classes(
 
     if mode == "pruned":
         for p in patterns:
-            counts[p] = count_squares(n, AvoidanceSpec.both(p), jobs=jobs).count
+            counts[p] = count_squares(n, AvoidanceSpec.both(p)).count
     else:
         # a pattern longer than n leaves its bit clear in every square's
         # mask, so it gets the full count
         bit_of = _pattern_bits(k)
         tally: Counter = Counter()
-        _, parts = _pooled_scan(n, EMPTY_SPEC, partial(_wilf_worker, k=k, cache={}), jobs)
-        for part in parts:
+        for part in _pooled_scan(n, EMPTY_SPEC, partial(_wilf_worker, k=k, cache={}), jobs):
             tally.update(part)
         for p, b in bit_of.items():
             counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)
@@ -343,11 +342,9 @@ def wilf_classes(
 def verify_full_length_counts(
     n: int,
     patterns: Sequence[Sequence[int]] | None = None,
-    *,
-    jobs: int = 1,
 ) -> dict:
     """
-    Check, by direct enumeration, that the column-only and row+column
+    Check, by exhaustive counts, that the column-only and row+column
     avoider counts of full-length patterns match their closed forms in terms
     of the total count.
     """
@@ -361,14 +358,14 @@ def verify_full_length_counts(
         if len(p) != n:
             raise ValueError(f"pattern {p} does not have full length {n}")
 
-    total = count_squares(n, EMPTY_SPEC, jobs=jobs).count
+    total = count_squares(n, EMPTY_SPEC).count
     expected_cols = column_avoider_count(n, total)
     expected_full = full_length_count(n, total)
     checks = []
     ok = True
     for p in pats:
-        ell = count_column_avoiders(n, p, jobs=jobs).count
-        full = count_squares(n, AvoidanceSpec.both(p), jobs=jobs).count
+        ell = count_column_avoiders(n, p).count
+        full = count_squares(n, AvoidanceSpec.both(p)).count
         good = ell == expected_cols and full == expected_full
         ok = ok and good
         checks.append(

@@ -106,12 +106,13 @@ def _count_csv(value: dict) -> str:
     return f"order,count,nodes_explored\n{value['order']},{value['count']},{value['nodes_explored']}\n"
 
 
-def _progress_emitter(args) -> Callable[[int, int], None] | None:
+def _progress_emitter(args) -> Callable[[int, int, int], None] | None:
     if args.progress != "json":
         return None
 
-    def emit(done: int, total: int) -> None:
-        sys.stderr.write(json.dumps({"event": "progress", "tasks_done": done, "tasks_total": total}) + "\n")
+    def emit(done: int, total: int, states: int) -> None:
+        event = {"event": "progress", "rows_done": done, "rows_total": total, "states": states}
+        sys.stderr.write(json.dumps(event) + "\n")
         sys.stderr.flush()
 
     return emit
@@ -280,7 +281,7 @@ def _cmd_count(args) -> int:
     t0 = time.perf_counter()
 
     def compute() -> dict:
-        result = count_squares(n, spec, jobs=args.jobs, max_order=args.max_order, progress=progress)
+        result = count_squares(n, spec, max_order=args.max_order, progress=progress)
         return result.to_dict()
 
     key = {"op": "count", "order": n, "spec": _spec_digest(spec)}
@@ -440,7 +441,7 @@ def _cmd_check(args) -> int:
 def _cmd_verify(args) -> int:
     if args.what == "theorem6":
         pats = [parse_perm(p) for p in args.patterns] if args.patterns else None
-        report = analysis.verify_full_length_counts(_check_order(args.order), pats, jobs=args.jobs)
+        report = analysis.verify_full_length_counts(_check_order(args.order), pats)
     elif args.what == "corollary6":
         report = analysis.verify_triple_containment(_check_order(args.order))
     elif args.what == "remark4":

@@ -1,43 +1,50 @@
 """
-Exhaustive backtracking enumeration of Latin squares with online
-pattern-avoidance pruning.
+Exhaustive search of Latin squares with online pattern-avoidance pruning.
 
-The search fills the grid row-major with per-row and per-column occupancy
-bitmasks.  Row and column patterns are compiled once per call into prefix
-automata (perm.prefix_automaton): each row and each column keeps one
-automaton state, and a placement costs one table lookup per line.  A
-line's state goes DEAD as soon as its prefix contains a pattern or can no
-longer be completed to an avoiding permutation of 1..n, and nothing below
-a dead prefix is searched.  A side with no patterns gets a one-state
-automaton that takes every symbol.  Symbol lines (row index -> column of
-the symbol) keep one state per symbol too, stepped as each row is placed.
+Row and column patterns are compiled once per call into prefix automata
+(perm.prefix_automaton): each row and each column keeps one automaton
+state, and a placement costs one table lookup per line.  A line's state
+goes DEAD as soon as its prefix contains a pattern or can no longer be
+completed to an avoiding permutation of 1..n, and nothing below a dead
+prefix is searched.  A side with no patterns gets a one-state automaton
+that takes every symbol.  Symbol lines (row index -> column of the symbol)
+keep one state per symbol too, stepped as each row is placed.
 
-The grid is walked a whole row at a time, after the transfer-matrix method
-(Stanley, EC1 4.7).  The rows that can fill row i depend only on the
-column state, every column's free symbols and automaton state.  A
-cell-by-cell search over that one row finds them the first time the state
-is seen, and the per-call row table keeps them, with the column state each
-leads to and the nodes the row search counted; every later visit replays
-the entry.  A plain count adds up the number of last rows instead of
-visiting each square.
+The grid is filled a whole row at a time.  The rows that can fill row i
+depend only on the column state, every column's free symbols and automaton
+state packed into one int.  fill_row, the one single-row search, finds
+them cell by cell and returns the column state after each; a row is not
+kept, because cell j holds the one symbol column j's free mask lost, so
+Automata.row_cells decodes it from the column states before and after it
+where a tuple is needed.  Two engines share it:
+
+- count_squares sweeps forward by the transfer-matrix method (Stanley,
+  EC1 4.7), in this process: layer i maps each state after i rows (the
+  column state, with the symbol states packed above it) to the number of
+  partial squares reaching it, each state is expanded once, and the count
+  is the sum of the last layer.
+- The row walk (_run_search) visits every square, for enumerate_squares,
+  render_squares, the Wilf filter and the lambda search.  Its per-call row
+  table keeps each column state's rows, decoded, and next states, so each
+  state's row search runs once.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check, so nodes_explored counts the placements tried below
-live prefixes.  A replayed entry adds the nodes its row search counted, so
-nodes_explored means what it did when every row was searched cell by cell.
+live prefixes, once for each partial square they extend.  The walk adds a
+state's stored nodes on every visit and the sweep adds them once per
+partial square reaching the state, so both give what a cell-by-cell search
+from the root counts.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
-enumerate_squares streams every square from one search in this process.
-Every other scan (count_squares, render_squares, the Wilf filter) is set
-up by _pooled_scan: cut at the first row into disjoint prefix subtrees,
-one task each, whatever the worker count; merging per-task results in task
-order keeps every output, node counts included, the same for any worker
-count.  The automata and the row table are built once per call and shared
-by all of that call's tasks, so the split costs no extra containment
-checks, and at one worker no column state's row search runs twice.  A pool
-process gets the call's worker, and with it the table, once when it
-starts; the table then grows across every task that process runs.
+enumerate_squares streams every square from one walk in this process.
+render_squares and the Wilf filter are set up by _pooled_scan: cut at the
+first row into disjoint prefix subtrees, one task each, whatever the worker
+count; merging per-task results in task order keeps every output the same
+for any worker count.  The automata and the row table are built once per
+call and shared by all of that call's tasks.  A pool process gets the
+call's worker, and with it the table, once when it starts; the table then
+grows across every task that process runs.
 """
 from __future__ import annotations
 
@@ -61,7 +68,7 @@ from .square import (
 
 #: version of the engine's answers, nodes_explored included: cached counts
 #: are keyed by it, so a change to any answer must raise it
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 #: hard default ceiling for enumeration whose spec prunes nothing
 DEFAULT_UNRESTRICTED_BOUND = 6
@@ -69,7 +76,7 @@ DEFAULT_UNRESTRICTED_BOUND = 6
 #: ceiling for the independent reduced-square cross-check search
 REDUCED_SEARCH_BOUND = 6
 
-#: most column states one call's row table stores (a few hundred bytes
+#: most column states one row walk's table stores (a few hundred bytes
 #: each); states past it are searched again on every visit
 ROW_TABLE_BUDGET = 1 << 16
 
@@ -132,6 +139,55 @@ def _free_automaton(n: int) -> PrefixAutomaton:
     return PrefixAutomaton(((DEAD,) * (n + 1), (DEAD,) + (1,) * n), (0, (1 << n) - 1), 1)
 
 
+class _Columns(dict):
+    """
+    One column's packed field (free mask, automaton state) -> (free mask,
+    live mask, placed), where placed[s] is the field after symbol s; made
+    on first lookup.
+    """
+
+    def __init__(self, n: int, col: PrefixAutomaton):
+        super().__init__()
+        self.n, self.col = n, col
+
+    def __missing__(self, field: int) -> tuple:
+        n = self.n
+        free, cs = field & ((1 << n) - 1), field >> n
+        c_next = self.col.next[cs]
+        placed = (0,) + tuple((c_next[s] << n) | (free & ~(1 << (s - 1))) for s in range(1, n + 1))
+        value = self[field] = (free, self.col.live[cs], placed)
+        return value
+
+
+class _Candidates(dict):
+    """A symbol mask -> ((s, bit), ...) for each set bit, lowest first; made on first lookup."""
+
+    def __missing__(self, mask: int) -> tuple:
+        bits = range(1, mask.bit_length() + 1)
+        value = self[mask] = tuple((s, 1 << (s - 1)) for s in bits if mask >> (s - 1) & 1)
+        return value
+
+
+class _RowCells(dict):
+    """
+    The free-mask bits a row (or the first cells of one) cleared in the
+    column state -> its cells, one shared tuple per row; made on first
+    lookup.  Cell j holds the one symbol that column j's free mask lost.
+    """
+
+    def __init__(self, n: int, width: int):
+        super().__init__()
+        self.n, self.width = n, width
+
+    def __missing__(self, cleared: int) -> tuple:
+        full, cells, rest = (1 << self.n) - 1, [], cleared
+        while rest:
+            cells.append((rest & full).bit_length())
+            rest >>= self.width
+        value = self[cleared] = tuple(cells)
+        return value
+
+
 class Automata:
     """
     One call's compiled search, shared by all of its tasks: the row, column
@@ -142,12 +198,12 @@ class Automata:
     is every column's free-symbol mask and automaton state, packed into one
     int, width bits per column.  The row table maps the column state at the
     start of a row to one flat tuple (nodes, row, next, row, next, ...): the
-    nodes the single-row search counted from that state, then each row that
-    fills it, in increasing order, with the column state it leads to.
-    _run_search fills it on first visit, up to ROW_TABLE_BUDGET states;
-    rows and keys hold the one object kept for each distinct row tuple and
-    next state.  At order 5 with no patterns it holds 4,321 states in about
-    1.2 MB.
+    nodes fill_row counted from that state, then each row that fills it, in
+    increasing order, with the column state it leads to.  _run_search fills
+    it on first visit, up to ROW_TABLE_BUDGET states; keys holds the one
+    object kept for each distinct next state, and row_cells[(key ^ next) &
+    free_bits] the one tuple for each row.  At order 5 with no patterns the
+    table holds 4,321 states in about 1.2 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec):
@@ -156,14 +212,120 @@ class Automata:
             short = [p for p in patterns if len(p) <= n]
             compiled.append(prefix_automaton(n, short) if short else None)
         row, col, self.sym = compiled
+        self.n = n
         self.row = row or _free_automaton(n)
         self.col = col or _free_automaton(n)
         self.width = n + (len(self.col.live) - 1).bit_length()
-        column = (self.col.root << n) | ((1 << n) - 1)
+        self.full = (1 << n) - 1
+        column = (self.col.root << n) | self.full
         self.root = sum(column << (j * self.width) for j in range(n))
         self.table: dict[int, tuple] = {}
-        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.keys: dict[int, int] = {}
+        self.columns = _Columns(n, self.col)
+        self.candidates = _Candidates()
+        self.free_bits = sum(self.full << (j * self.width) for j in range(n))
+        self.row_cells = _RowCells(n, self.width)
+
+
+def fill_row(auto: Automata, key: int, cells: Sequence[int] = (), stop: int | None = None) -> list[int]:
+    """
+    The single-row search: every way to fill the first stop cells (default:
+    the whole row) of a row after column state key, the cells given first,
+    extended one column at a time so the rows come out in increasing order.
+    Returns [nodes, next, next, ...]: the placements that passed the
+    occupancy masks, counted before the automaton check, then the column
+    state after each row, with the columns from stop on as in key.  No row
+    is kept: auto.row_cells[(key ^ next) & auto.free_bits] decodes one.
+    """
+    n, width = auto.n, auto.width
+    row_next, row_live = auto.row.next, auto.row.live
+    columns, candidates = auto.columns, auto.candidates
+    field_mask = (1 << width) - 1
+    if stop is None:
+        stop = n
+    nodes = 0
+    # (symbols still free in the row, row automaton state, next key so far)
+    frontier = [(auto.full, auto.row.root, key >> (stop * width) << (stop * width))]
+    for j in range(stop):
+        shift = j * width
+        free, c_live, placed = columns[(key >> shift) & field_mask]
+        if j < len(cells):
+            # the cells before j are given too, so frontier holds at most one row
+            given = 1 << (cells[j] - 1)
+            if frontier and not frontier[0][0] & free & given:
+                raise ValueError(
+                    f"prefix is not Latin: symbol {cells[j]} repeats in its row or in column {j + 1}"
+                )
+            free = given
+        if j == n - 1:
+            # one free symbol is left in each row: no branching
+            found = [0]
+            for row_free, rs, acc in frontier:
+                avail = row_free & free
+                if avail:
+                    nodes += 1
+                    if avail & row_live[rs] & c_live:
+                        found.append(acc | placed[avail.bit_length()] << shift)
+            found[0] = nodes
+            return found
+        longer = []
+        for row_free, rs, acc in frontier:
+            avail = row_free & free
+            nodes += avail.bit_count()
+            r_next = row_next[rs]
+            for s, bit in candidates[avail & row_live[rs] & c_live]:
+                longer.append((row_free ^ bit, r_next[s], acc | placed[s] << shift))
+        frontier = longer
+    return [nodes] + [acc for _, _, acc in frontier]
+
+
+def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> tuple[int, int]:
+    """
+    Count by the transfer-matrix method: (squares, nodes).  Layer i maps
+    each state after i rows (the column state, with the symbol states
+    packed above it) to the number of partial squares that reach it.  Each
+    state is expanded once by fill_row, and nodes adds that search's nodes
+    once per partial square, so it equals the row walk's nodes_explored.
+    """
+    n, sym = auto.n, auto.sym
+    col_bits = n * auto.width
+    column_mask = (1 << col_bits) - 1
+    if sym:
+        sym_next = sym.next
+        sym_width = (len(sym_next) - 1).bit_length()
+        sym_mask = (1 << sym_width) - 1
+        root = auto.root | sum(sym.root << (col_bits + s * sym_width) for s in range(n))
+    else:
+        root = auto.root
+    cells_of, free_bits = auto.row_cells, auto.free_bits
+    layer = {root: 1}
+    nodes = 0
+    for i in range(n):
+        after: dict[int, int] = {}
+        get = after.get
+        for key, paths in layer.items():
+            found = fill_row(auto, key & column_mask)
+            nodes += paths * found[0]
+            if not sym:
+                for nxt in islice(found, 1, None):
+                    after[nxt] = get(nxt, 0) + paths
+                continue
+            states = key >> col_bits
+            for nxt in islice(found, 1, None):
+                # symbol s's line gains the column that holds s in this row
+                stepped = 0
+                for j, s in enumerate(cells_of[(key ^ nxt) & free_bits], 1):
+                    state = sym_next[(states >> ((s - 1) * sym_width)) & sym_mask][j]
+                    if state == DEAD:
+                        break
+                    stepped |= state << ((s - 1) * sym_width)
+                else:
+                    nxt |= stepped << col_bits
+                    after[nxt] = get(nxt, 0) + paths
+        layer = after
+        if progress is not None:
+            progress(i + 1, n, len(layer))
+    return sum(layer.values()), nodes
 
 
 def _run_search(
@@ -177,7 +339,7 @@ def _run_search(
     automata: Automata | None = None,
 ) -> tuple[int, int]:
     """
-    Core backtracker.  Returns (hits, nodes).
+    The row walk.  Returns (hits, nodes).
 
     With stop_depth=None, hits counts completed squares (on_leaf sees each
     grid).  With stop_depth=d, the search stops at depth d and hits counts
@@ -187,17 +349,15 @@ def _run_search(
     automata, an Automata(n, spec), lets several searches share one
     compilation and one row table.
 
-    The grid is walked a whole row at a time.  fill_row, a cell-by-cell
-    search over a single row, finds the rows that can follow a column
-    state, the column state each leads to, and the nodes it counted.  The
-    first visit to a column state stores that in the row table; later
-    visits add the stored nodes and loop over the stored rows, so
-    nodes_explored is the same as a cell-by-cell search's.  Rows holding
-    cells of prefix, and a row cut by stop_depth, run fill_row with those
-    cells given or that stop, and are not stored.  Placing a whole row
-    steps the symbol states, and skips the row if one goes DEAD.  A plain
-    count (no on_leaf, no symbol patterns) adds the number of last rows
-    instead of visiting each square.
+    The grid is walked a whole row at a time.  fill_row finds the rows that
+    can follow a column state, the column state each leads to, and the nodes
+    it counted.  The first visit to a column state stores that, with each
+    row decoded, in the row table; later visits add the stored nodes and
+    loop over the stored rows, so nodes_explored is the same as a
+    cell-by-cell search's.  Rows holding cells of prefix, and a row cut by
+    stop_depth, run fill_row with those cells given or that stop, and are
+    not stored.  Placing a whole row steps the symbol states, and skips the
+    row if one goes DEAD.
     """
     total_cells = n * n
     stop_at = total_cells if stop_depth is None else stop_depth
@@ -208,60 +368,24 @@ def _run_search(
         raise ValueError("prefix longer than the search depth")
 
     auto = automata or Automata(n, spec)
-    table, row_objs, key_objs = auto.table, auto.rows, auto.keys
+    table, key_objs = auto.table, auto.keys
+    cells_of, free_bits = auto.row_cells, auto.free_bits
     sym_next = auto.sym and auto.sym.next
     # sym_at[i]: each symbol's state before row i, rewritten in place
     sym_at = [[auto.sym.root] * n for _ in range(n + 1)] if sym_next else None
-    row_next, row_live, row_root = auto.row.next, auto.row.live, auto.row.root
-    col_next, col_live = auto.col.next, auto.col.live
-    width = auto.width
-    full = (1 << n) - 1
-    state_mask = (1 << (width - n)) - 1
 
     stop_row, stop_col = divmod(stop_at, n)
     table_from = -(-forced // n)  # the first row with no cell of prefix
-    # a plain count needs only how many rows end each square, not the squares
-    tally_row = n - 1 if stop_depth is None and on_leaf is None and not sym_next else -1
     grid: list[tuple[int, ...]] = [()] * n
     nodes = 0
     hits = 0
 
-    def fill_row(key: int, cells: Sequence[int], stop: int, i: int) -> list:
-        # [nodes, row, next, row, next, ...]: the first `stop` cells of row i
-        # after column state key, cells given first, extended one column at
-        # a time, so the rows stay in order
-        count = 0
-        frontier = [((), full, row_root, key >> (stop * width) << (stop * width))]
-        for j in range(stop):
-            shift = j * width
-            free = (key >> shift) & full
-            cs = (key >> (shift + n)) & state_mask
-            c_live = col_live[cs]
-            c_next = col_next[cs]
-            longer = []
-            for row, row_free, rs, acc in frontier:
-                avail = row_free & free
-                if j < len(cells):
-                    s = cells[j]
-                    bit = 1 << (s - 1)
-                    if not avail & bit:
-                        raise ValueError(
-                            f"prefix is not Latin: symbol {s} repeats in row {i + 1} or column {j + 1}"
-                        )
-                    avail = bit
-                count += avail.bit_count()
-                avail &= row_live[rs] & c_live
-                r_next = row_next[rs]
-                while avail:
-                    bit = avail & -avail
-                    avail ^= bit
-                    s = bit.bit_length()
-                    column = (c_next[s] << n) | (free ^ bit)
-                    longer.append((row + (s,), row_free ^ bit, r_next[s], acc | (column << shift)))
-            frontier = longer
-        entry = [count]
-        for row, _, _, acc in frontier:
-            entry += (row, acc)
+    def rows_after(key: int, cells: Sequence[int] = (), stop: int = n) -> list:
+        # [nodes, row, next, row, next, ...]
+        found = fill_row(auto, key, cells, stop)
+        entry = [found[0]]
+        for nxt in islice(found, 1, None):
+            entry += (cells_of[(key ^ nxt) & free_bits], nxt)
         return entry
 
     def accept(i: int, tail: tuple[int, ...] = ()) -> None:
@@ -275,32 +399,28 @@ def _run_search(
             on_leaf(tuple(grid))
 
     def walk(i: int, key: int) -> None:
-        nonlocal hits, nodes
+        nonlocal nodes
         if i == stop_row and not stop_col:
             accept(i)
             return
         if table_from <= i < stop_row:
             entry = table.get(key)
             if entry is None:
-                entry = fill_row(key, (), n, i)
+                entry = rows_after(key)
                 if len(table) < ROW_TABLE_BUDGET:
-                    for k in range(1, len(entry), 2):
-                        entry[k] = row_objs.setdefault(entry[k], entry[k])
-                        entry[k + 1] = key_objs.setdefault(entry[k + 1], entry[k + 1])
+                    for k in range(2, len(entry), 2):
+                        entry[k] = key_objs.setdefault(entry[k], entry[k])
                     entry = table[key] = tuple(entry)
         else:
-            start = i * n
+            cells = prefix[i * n:(i + 1) * n]
             if i == stop_row:
-                entry = fill_row(key, prefix[start:start + n], stop_col, i)
+                entry = rows_after(key, cells, stop_col)
                 nodes += entry[0]
                 for k in range(1, len(entry), 2):
                     accept(i, entry[k])
                 return
-            entry = fill_row(key, prefix[start:start + n], n, i)
+            entry = rows_after(key, cells)
         nodes += entry[0]
-        if i == tally_row:
-            hits += len(entry) >> 1
-            return
         for k in range(1, len(entry), 2):
             if sym_next:
                 # symbol s's line gains the column that holds s in this row;
@@ -321,10 +441,6 @@ def _run_search(
         # full garbage collection
         del walk
     return hits, nodes
-
-
-def _count_worker(task: EnumerationTask, automata: Automata) -> tuple[int, int]:
-    return _run_search(task.order, task.spec, task.prefix, automata=automata)
 
 
 def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> str:
@@ -415,57 +531,36 @@ def default_split_depth(n: int) -> int:
     return n
 
 
-def _pooled_scan(
-    n: int,
-    spec: AvoidanceSpec,
-    worker: Callable[..., R],
-    jobs: int,
-    *,
-    split_depth: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> tuple[int, Iterator[R]]:
+def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., R], jobs: int) -> Iterator[R]:
     """
-    Set up a scan that runs as prefix tasks: build the call's Automata, split
-    at split_depth cells (default: the first row) and return the split's
-    nodes with map_tasks of worker, given automata=, over the tasks.
+    Run a scan as first-row prefix tasks: build the call's Automata, split
+    at default_split_depth(n) and map worker, given automata=, over the
+    tasks in task order.
     """
-    if split_depth is None:
-        split_depth = default_split_depth(n)
     automata = Automata(n, spec)
     prefixes: list[tuple[int, ...]] = []
-    _, nodes = _run_search(
-        n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata
-    )
+    _run_search(n, spec, stop_depth=default_split_depth(n), on_prefix=prefixes.append, automata=automata)
     tasks = [EnumerationTask(n, spec, p) for p in prefixes]
-    return nodes, map_tasks(partial(worker, automata=automata), tasks, jobs, progress)
+    return map_tasks(partial(worker, automata=automata), tasks, jobs)
 
 
 def count_squares(
     n: int,
     spec: AvoidanceSpec = EMPTY_SPEC,
     *,
-    jobs: int = 1,
-    split_depth: int | None = None,
     max_order: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    progress: Callable[[int, int, int], None] | None = None,
 ) -> CountResult:
     """
-    Count order-n Latin squares satisfying the avoidance spec.
-
-    The space is always partitioned into prefix tasks, at split_depth cells
-    (default: the first row; 0 gives one task), and per-task counts are
-    summed in task order, so the result, nodes_explored included, is
-    byte-identical for any worker count.
+    Count order-n Latin squares satisfying the avoidance spec, by a forward
+    sweep over row layers in this process (_sweep).  nodes_explored is the
+    row walk's, from the root: the cell placements that passed the occupancy
+    masks, counted once per partial square they extend.  progress(rows_done,
+    rows_total, states) follows each row layer.
     """
     check_enumeration_bound(n, spec, max_order)
     t0 = time.perf_counter()
-    nodes, results = _pooled_scan(
-        n, spec, _count_worker, jobs, split_depth=split_depth, progress=progress
-    )
-    count = 0
-    for c, nd in results:
-        count += c
-        nodes += nd
+    count, nodes = _sweep(Automata(n, spec), progress)
     return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
 
 
@@ -508,7 +603,7 @@ def render_squares(
     early cancels the queued tasks.
     """
     check_enumeration_bound(n, spec, max_order)
-    return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)[1]
+    return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)
 
 
 def enumerate_with_first_row(

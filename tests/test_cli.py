@@ -80,7 +80,10 @@ def test_count_progress_lines(capsys):
     )
     assert code == 0
     events = [json.loads(line) for line in err.strip().splitlines()]
-    assert events[-1]["tasks_done"] == events[-1]["tasks_total"] == 6
+    # one event per swept row; states counts the keys of that row's layer
+    assert len(events) == 3
+    assert events[-1]["rows_done"] == events[-1]["rows_total"] == 3
+    assert [e["states"] for e in events] == [6, 6, 1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -606,6 +609,16 @@ def test_lambda_exhaustive_starts_no_pool(capsys, monkeypatch):
     assert json.loads(out)["exact_value"] == 3
 
 
+def test_count_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("count started a process pool")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "count", "--order", "5", "--avoid", "1234", "--jobs", "2", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["count"] == 26928
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_enumerate_into_closed_pipe_exits_quietly(jobs):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -658,11 +671,11 @@ def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
 
 GOLDEN = {
     ("count", "--order", "3", "--format", "json"):
-        '{"count": 12, "nodes_explored": 111, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
+        '{"count": 12, "nodes_explored": 93, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
     ("count", "--order", "3", "--format", "csv"):
-        "order,count,nodes_explored\n3,12,111\n",
+        "order,count,nodes_explored\n3,12,93\n",
     ("count", "--order", "3", "--format", "table"):
-        "order: 3\nspec:\n  rows:\n  cols:\n  symbols:\ncount: 12\nnodes_explored: 111\n",
+        "order: 3\nspec:\n  rows:\n  cols:\n  symbols:\ncount: 12\nnodes_explored: 93\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "json"):
         '{"classes": [{"count": 4, "patterns": ["123", "132", "213", "231", "312", "321"]}], '
         '"counts": {"123": 4, "132": 4, "213": 4, "231": 4, "312": 4, "321": 4}, '

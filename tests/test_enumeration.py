@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from functools import partial
 
 import pytest
 
@@ -69,8 +70,8 @@ def test_length3_avoider_counts():
             assert count_squares(n, AvoidanceSpec.both(q)).count == n
 
 
-@pytest.mark.parametrize("n", [7, 8])
-@pytest.mark.parametrize("q", [(1, 2, 3), (1, 3, 2)])
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("q", [(1, 2, 3), (1, 3, 2), (2, 3, 1)])
 def test_length3_avoider_counts_at_larger_orders(q, n):
     assert count_squares(n, AvoidanceSpec.both(q)).count == n
 
@@ -143,34 +144,56 @@ def test_visitor_order_is_lexicographic(squares3):
     assert grids[0] == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
+def _walk_task(task: EnumerationTask, automata: enumeration.Automata) -> tuple[int, int]:
+    return _run_search(task.order, task.spec, task.prefix, automata=automata)
+
+
+def walk_count(n, spec, split_depth, jobs=1):
+    """
+    (count, nodes) by the row walk split into prefix tasks: one Automata,
+    the split at split_depth cells, then every task walked, the split's
+    nodes plus the tasks' summed in task order.
+    """
+    automata = enumeration.Automata(n, spec)
+    prefixes = []
+    _, nodes = _run_search(n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata)
+    tasks = [EnumerationTask(n, spec, p) for p in prefixes]
+    count = 0
+    for c, nd in map_tasks(partial(_walk_task, automata=automata), tasks, jobs):
+        count += c
+        nodes += nd
+    return count, nodes
+
+
 def test_parallel_count_matches_serial():
-    serial = count_squares(4, split_depth=4)
-    parallel = count_squares(4, jobs=4, split_depth=4)
-    assert parallel.count == serial.count == 576
-    assert parallel.nodes_explored == serial.nodes_explored
+    serial = walk_count(4, EMPTY_SPEC, 4)
+    parallel = walk_count(4, EMPTY_SPEC, 4, jobs=4)
+    assert parallel[0] == serial[0] == 576
+    assert parallel[1] == serial[1]
 
 
 @pytest.mark.parametrize("n,spec,cli_args,nodes", [
-    (4, EMPTY_SPEC, [], 5776),
-    (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 2738),
+    (4, EMPTY_SPEC, [], 5680),
+    (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 2528),
     (
         5,
         AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),)),
         ["--avoid-rows", "132", "--avoid-symbols", "123"],
-        4245,
+        4035,
     ),
 ])
 def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, capsys):
-    assert count_squares(n, spec, jobs=1).nodes_explored == nodes
-    assert count_squares(n, spec, jobs=2).nodes_explored == nodes
-    assert main(["count", "--order", str(n), "--jobs", "1", *cli_args]) == 0
-    assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
+    assert count_squares(n, spec).nodes_explored == nodes
+    for jobs in ("1", "2"):
+        assert main(["count", "--order", str(n), "--jobs", jobs, "--no-cache", *cli_args]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
 
 
-# (count, nodes_explored) at split depths 0, 3, 5, 7 and 10 of order 5 (the
-# middle of the first row, its end, the middle of the second row, its end),
-# recorded from the cell-by-cell engine, except that specs with symbol
-# patterns read ENGINE_VERSION 3, which steps symbol lines as rows are placed
+# (count, nodes_explored) of the row walk (walk_count) at split depths 0, 3,
+# 5, 7 and 10 of order 5 (the middle of the first row, its end, the middle
+# of the second row, its end), recorded from the cell-by-cell engine, except
+# that specs with symbol patterns read ENGINE_VERSION 3, which steps symbol
+# lines as rows are placed
 ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
 GOLDEN_DEPTHS = (0, 3, 5, 7, 10)
 GOLDEN_5 = [
@@ -209,14 +232,22 @@ GOLDEN_4 = [
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("spec,count,nodes", GOLDEN_5)
 def test_golden_counts_and_nodes_order_5(spec, count, nodes, jobs):
-    got = [count_squares(5, spec, jobs=jobs, split_depth=d) for d in GOLDEN_DEPTHS]
-    assert [(r.count, r.nodes_explored) for r in got] == [(count, nd) for nd in nodes]
+    got = [walk_count(5, spec, d, jobs) for d in GOLDEN_DEPTHS]
+    assert got == [(count, nd) for nd in nodes]
 
 
 @pytest.mark.parametrize("spec,count,nodes", GOLDEN_4)
 def test_golden_counts_and_nodes_order_4(spec, count, nodes):
-    got = [count_squares(4, spec, split_depth=d) for d in (0, 1, 4, 5, 16)]
-    assert [(r.count, r.nodes_explored) for r in got] == [(count, nd) for nd in nodes]
+    got = [walk_count(4, spec, d) for d in (0, 1, 4, 5, 16)]
+    assert got == [(count, nd) for nd in nodes]
+
+
+@pytest.mark.parametrize("n,spec,count,nodes", [(5, *g) for g in GOLDEN_5] + [(4, *g) for g in GOLDEN_4])
+def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
+    # the sweep adds each state's row-search nodes once per partial square
+    # reaching it, which is what the unsplit walk counts
+    result = count_squares(n, spec)
+    assert (result.count, result.nodes_explored) == (count, nodes[0])
 
 
 @pytest.mark.parametrize("depth", sorted(GOLDEN_PREFIXES_5))
@@ -242,7 +273,7 @@ def test_split_shares_checker_caches(monkeypatch):
     per_depth = []
     for depth in (0, 5):
         calls[0] = 0
-        assert count_squares(5, spec, split_depth=depth).count == 26928
+        assert walk_count(5, spec, depth)[0] == 26928
         per_depth.append(calls[0])
     assert per_depth[0] == per_depth[1] > 0
 
@@ -266,9 +297,9 @@ def test_one_row_table_per_call(monkeypatch):
         return len(made[0].table)
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    per_depth = [entries_built(lambda: count_squares(5, spec, split_depth=d)) for d in (0, 5)]
+    per_depth = [entries_built(lambda: walk_count(5, spec, d)) for d in (0, 5)]
     assert per_depth[0] == per_depth[1] > 0
-    full_scan = entries_built(lambda: count_squares(5))
+    full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC, 5))
     assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
 
 
@@ -307,8 +338,6 @@ def test_jobs_below_one_rejected(jobs):
         _worker_count(jobs, 10)
     with pytest.raises(ValueError, match="jobs"):
         list(map_tasks(abs, [1, 2], jobs))
-    with pytest.raises(ValueError, match="jobs"):
-        count_squares(3, jobs=jobs)
 
 
 def test_map_tasks_keeps_task_order_and_reports_progress():
@@ -363,7 +392,7 @@ def test_partition_first_row():
 def test_partition_counts_sum(depth):
     spec = AvoidanceSpec.columns_only((1, 2, 3))
     total = count_squares(4, spec).count
-    split = count_squares(4, spec, split_depth=depth).count
+    split = walk_count(4, spec, depth)[0]
     assert split == total == 24
 
 
