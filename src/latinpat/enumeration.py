@@ -38,13 +38,15 @@ from the root counts.
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 enumerate_squares streams every square from one walk in this process.
-render_squares and the Wilf filter are set up by _pooled_scan: cut at the
-first row into disjoint prefix subtrees, one task each, whatever the worker
-count; merging per-task results in task order keeps every output the same
-for any worker count.  The automata and the row table are built once per
-call and shared by all of that call's tasks.  A pool process gets the
-call's worker, and with it the table, once when it starts; the table then
-grows across every task that process runs.
+render_squares and the Wilf filter are set up by _pooled_scan: one task
+per first row, whatever the worker count.  A task walks the squares with
+that first row, and its nodes are the ones below it, so the first row's
+search plus every task's nodes give the unsplit walk's.  Merging per-task
+results in task order keeps every output the same for any worker count.
+The automata and the row table are built once per call and shared by all
+of that call's tasks.  A pool process gets the call's worker, and with it
+the table, once when it starts; the table then grows across every task
+that process runs.
 """
 from __future__ import annotations
 
@@ -107,7 +109,7 @@ class CountResult:
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """A disjoint chunk of the search space: the subtree under one prefix."""
+    """A disjoint chunk of the search space: the squares whose first row is prefix."""
 
     order: int
     spec: AvoidanceSpec
@@ -170,9 +172,9 @@ class _Candidates(dict):
 
 class _RowCells(dict):
     """
-    The free-mask bits a row (or the first cells of one) cleared in the
-    column state -> its cells, one shared tuple per row; made on first
-    lookup.  Cell j holds the one symbol that column j's free mask lost.
+    The free-mask bits a row cleared in the column state -> its cells, one
+    shared tuple per row; made on first lookup.  Cell j holds the one
+    symbol that column j's free mask lost.
     """
 
     def __init__(self, n: int, width: int):
@@ -190,8 +192,8 @@ class _RowCells(dict):
 
 class Automata:
     """
-    One call's compiled search, shared by all of its tasks: the row, column
-    and symbol prefix automata of the spec, and the row table.
+    One call's compiled search, shared by all of its first-row tasks: the
+    row, column and symbol prefix automata of the spec, and the row table.
 
     A row or column side with no pattern of length at most n gets
     _free_automaton(n); a symbol side with none gets None.  A column state
@@ -200,10 +202,11 @@ class Automata:
     start of a row to one flat tuple (nodes, row, next, row, next, ...): the
     nodes fill_row counted from that state, then each row that fills it, in
     increasing order, with the column state it leads to.  _run_search fills
-    it on first visit, up to ROW_TABLE_BUDGET states; keys holds the one
-    object kept for each distinct next state, and row_cells[(key ^ next) &
-    free_bits] the one tuple for each row.  At order 5 with no patterns the
-    table holds 4,321 states in about 1.2 MB.
+    it on first visit, up to ROW_TABLE_BUDGET states, and a first-row task
+    picks its row out of the root's entry.  keys holds the one object kept
+    for each distinct next state, and row_cells[(key ^ next) & free_bits]
+    the one tuple for each row.  At order 5 with no patterns the table
+    holds 4,321 states in about 1.2 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec):
@@ -227,47 +230,25 @@ class Automata:
         self.row_cells = _RowCells(n, self.width)
 
 
-def fill_row(auto: Automata, key: int, cells: Sequence[int] = (), stop: int | None = None) -> list[int]:
+def fill_row(auto: Automata, key: int) -> list[int]:
     """
-    The single-row search: every way to fill the first stop cells (default:
-    the whole row) of a row after column state key, the cells given first,
+    The single-row search: every way to fill a row after column state key,
     extended one column at a time so the rows come out in increasing order.
     Returns [nodes, next, next, ...]: the placements that passed the
     occupancy masks, counted before the automaton check, then the column
-    state after each row, with the columns from stop on as in key.  No row
-    is kept: auto.row_cells[(key ^ next) & auto.free_bits] decodes one.
+    state after each row.  No row is kept: auto.row_cells[(key ^ next) &
+    auto.free_bits] decodes one.
     """
     n, width = auto.n, auto.width
     row_next, row_live = auto.row.next, auto.row.live
     columns, candidates = auto.columns, auto.candidates
     field_mask = (1 << width) - 1
-    if stop is None:
-        stop = n
     nodes = 0
     # (symbols still free in the row, row automaton state, next key so far)
-    frontier = [(auto.full, auto.row.root, key >> (stop * width) << (stop * width))]
-    for j in range(stop):
+    frontier = [(auto.full, auto.row.root, 0)]
+    for j in range(n - 1):
         shift = j * width
         free, c_live, placed = columns[(key >> shift) & field_mask]
-        if j < len(cells):
-            # the cells before j are given too, so frontier holds at most one row
-            given = 1 << (cells[j] - 1)
-            if frontier and not frontier[0][0] & free & given:
-                raise ValueError(
-                    f"prefix is not Latin: symbol {cells[j]} repeats in its row or in column {j + 1}"
-                )
-            free = given
-        if j == n - 1:
-            # one free symbol is left in each row: no branching
-            found = [0]
-            for row_free, rs, acc in frontier:
-                avail = row_free & free
-                if avail:
-                    nodes += 1
-                    if avail & row_live[rs] & c_live:
-                        found.append(acc | placed[avail.bit_length()] << shift)
-            found[0] = nodes
-            return found
         longer = []
         for row_free, rs, acc in frontier:
             avail = row_free & free
@@ -276,7 +257,18 @@ def fill_row(auto: Automata, key: int, cells: Sequence[int] = (), stop: int | No
             for s, bit in candidates[avail & row_live[rs] & c_live]:
                 longer.append((row_free ^ bit, r_next[s], acc | placed[s] << shift))
         frontier = longer
-    return [nodes] + [acc for _, _, acc in frontier]
+    # one free symbol is left in each row: no branching
+    shift = (n - 1) * width
+    free, c_live, placed = columns[(key >> shift) & field_mask]
+    found = [0]
+    for row_free, rs, acc in frontier:
+        avail = row_free & free
+        if avail:
+            nodes += 1
+            if avail & row_live[rs] & c_live:
+                found.append(acc | placed[avail.bit_length()] << shift)
+    found[0] = nodes
+    return found
 
 
 def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> tuple[int, int]:
@@ -331,22 +323,20 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> 
 def _run_search(
     n: int,
     spec: AvoidanceSpec,
-    prefix: Sequence[int] = (),
+    first_row: tuple[int, ...] | None = None,
     *,
-    stop_depth: int | None = None,
     on_leaf: Callable[[Grid], None] | None = None,
-    on_prefix: Callable[[tuple[int, ...]], None] | None = None,
     automata: Automata | None = None,
 ) -> tuple[int, int]:
     """
-    The row walk.  Returns (hits, nodes).
+    The row walk.  Returns (squares, nodes); on_leaf sees each grid.
 
-    With stop_depth=None, hits counts completed squares (on_leaf sees each
-    grid).  With stop_depth=d, the search stops at depth d and hits counts
-    the surviving prefixes (on_prefix sees each one).  A node is a cell
-    placement that passed the occupancy masks, counted before the automaton
-    check; the cells of prefix are placed and checked like any other.
-    automata, an Automata(n, spec), lets several searches share one
+    A node is a cell placement that passed the occupancy masks, counted
+    before the automaton check.  With first_row given (a tuple), the walk
+    is one first-row task: it visits only the squares with that first row,
+    and its nodes leave out the first row's own search, so the root's
+    fill_row nodes plus every task's nodes are the unsplit walk's.
+    automata, an Automata(n, spec), lets several walks share one
     compilation and one row table.
 
     The grid is walked a whole row at a time.  fill_row finds the rows that
@@ -354,19 +344,9 @@ def _run_search(
     it counted.  The first visit to a column state stores that, with each
     row decoded, in the row table; later visits add the stored nodes and
     loop over the stored rows, so nodes_explored is the same as a
-    cell-by-cell search's.  Rows holding cells of prefix, and a row cut by
-    stop_depth, run fill_row with those cells given or that stop, and are
-    not stored.  Placing a whole row steps the symbol states, and skips the
-    row if one goes DEAD.
+    cell-by-cell search's.  Placing a whole row steps the symbol states,
+    and skips the row if one goes DEAD.
     """
-    total_cells = n * n
-    stop_at = total_cells if stop_depth is None else stop_depth
-    if not 0 <= stop_at <= total_cells:
-        raise ValueError(f"stop depth {stop_depth} outside 0..{total_cells}")
-    forced = len(prefix)
-    if forced > stop_at:
-        raise ValueError("prefix longer than the search depth")
-
     auto = automata or Automata(n, spec)
     table, key_objs = auto.table, auto.keys
     cells_of, free_bits = auto.row_cells, auto.free_bits
@@ -374,54 +354,35 @@ def _run_search(
     # sym_at[i]: each symbol's state before row i, rewritten in place
     sym_at = [[auto.sym.root] * n for _ in range(n + 1)] if sym_next else None
 
-    stop_row, stop_col = divmod(stop_at, n)
-    table_from = -(-forced // n)  # the first row with no cell of prefix
     grid: list[tuple[int, ...]] = [()] * n
     nodes = 0
-    hits = 0
-
-    def rows_after(key: int, cells: Sequence[int] = (), stop: int = n) -> list:
-        # [nodes, row, next, row, next, ...]
-        found = fill_row(auto, key, cells, stop)
-        entry = [found[0]]
-        for nxt in islice(found, 1, None):
-            entry += (cells_of[(key ^ nxt) & free_bits], nxt)
-        return entry
-
-    def accept(i: int, tail: tuple[int, ...] = ()) -> None:
-        # rows 0..i-1 are placed, then the cells of tail
-        nonlocal hits
-        hits += 1
-        if stop_depth is not None:
-            if on_prefix is not None:
-                on_prefix(tuple(s for row in grid[:i] for s in row) + tail)
-        elif on_leaf is not None:
-            on_leaf(tuple(grid))
+    squares = 0
 
     def walk(i: int, key: int) -> None:
-        nonlocal nodes
-        if i == stop_row and not stop_col:
-            accept(i)
+        nonlocal nodes, squares
+        if i == n:
+            squares += 1
+            if on_leaf is not None:
+                on_leaf(tuple(grid))
             return
-        if table_from <= i < stop_row:
-            entry = table.get(key)
-            if entry is None:
-                entry = rows_after(key)
-                if len(table) < ROW_TABLE_BUDGET:
-                    for k in range(2, len(entry), 2):
-                        entry[k] = key_objs.setdefault(entry[k], entry[k])
-                    entry = table[key] = tuple(entry)
+        entry = table.get(key)
+        if entry is None:
+            # [nodes, row, next, row, next, ...]
+            found = fill_row(auto, key)
+            entry = [found[0]]
+            for nxt in islice(found, 1, None):
+                entry += (cells_of[(key ^ nxt) & free_bits], nxt)
+            if len(table) < ROW_TABLE_BUDGET:
+                for k in range(2, len(entry), 2):
+                    entry[k] = key_objs.setdefault(entry[k], entry[k])
+                entry = table[key] = tuple(entry)
+        if i or first_row is None:
+            nodes += entry[0]
+            picks = range(1, len(entry), 2)
         else:
-            cells = prefix[i * n:(i + 1) * n]
-            if i == stop_row:
-                entry = rows_after(key, cells, stop_col)
-                nodes += entry[0]
-                for k in range(1, len(entry), 2):
-                    accept(i, entry[k])
-                return
-            entry = rows_after(key, cells)
-        nodes += entry[0]
-        for k in range(1, len(entry), 2):
+            # a first-row task: that row only, or none if the spec pruned it
+            picks = (entry.index(first_row),) if first_row in entry else ()
+        for k in picks:
             if sym_next:
                 # symbol s's line gains the column that holds s in this row;
                 # a row is a permutation, so every entry of new is written
@@ -440,7 +401,7 @@ def _run_search(
         # break the cycle so the table goes with the call, not at the next
         # full garbage collection
         del walk
-    return hits, nodes
+    return squares, nodes
 
 
 def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> str:
@@ -471,12 +432,7 @@ def _run_chunk(chunk: list[T]) -> list[R]:
     return [_pool_worker(task) for task in chunk]
 
 
-def map_tasks(
-    worker: Callable[[T], R],
-    tasks: Sequence[T],
-    jobs: int,
-    progress: Callable[[int, int], None] | None = None,
-) -> Iterator[R]:
+def map_tasks(worker: Callable[[T], R], tasks: Sequence[T], jobs: int) -> Iterator[R]:
     """
     Yield worker(task) for every task, in task order, whatever the worker
     count.  One worker runs the tasks in this process; more run them in a
@@ -485,45 +441,48 @@ def map_tasks(
     receives worker once, when it starts, and chunks carry only their
     tasks, so state the worker holds (such as a call's row table) lives on
     in its process across chunks.  Closing the iterator early cancels the
-    queued chunks.  progress(done, total) follows each task.
+    queued chunks.
     """
-    workers = _worker_count(jobs, len(tasks))
     total = len(tasks)
+    workers = _worker_count(jobs, total)
     if workers == 1:
-        for done, task in enumerate(tasks, start=1):
-            result = worker(task)
-            if progress is not None:
-                progress(done, total)
-            yield result
+        for task in tasks:
+            yield worker(task)
         return
     size = max(1, total // (workers * 4))
     chunks = (list(tasks[i:i + size]) for i in range(0, total, size))
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_worker, initargs=(worker,))
     try:
         in_flight = deque(pool.submit(_run_chunk, c) for c in islice(chunks, 2 * workers))
-        done = 0
         while in_flight:
             results = in_flight.popleft().result()
             chunk = next(chunks, None)
             if chunk is not None:
                 in_flight.append(pool.submit(_run_chunk, chunk))
-            for result in results:
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-                yield result
+            yield from results
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _first_row_tasks(n: int, spec: AvoidanceSpec, automata: Automata) -> list[EnumerationTask]:
+    """One task per first row the row and column automata let through, in increasing order."""
+    root = automata.root
+    found = fill_row(automata, root)
+    return [
+        EnumerationTask(n, spec, automata.row_cells[(root ^ nxt) & automata.free_bits])
+        for nxt in islice(found, 1, None)
+    ]
+
+
 def partition_tasks(n: int, spec: AvoidanceSpec, split_depth: int) -> list[EnumerationTask]:
     """
-    Split the search space into tasks with pairwise-disjoint subtree domains
+    Split the search space into first-row tasks, pairwise disjoint and
     covering the whole space; per-task counts sum to the full count.
+    split_depth must be default_split_depth(n), the only split scans make.
     """
-    prefixes: list[tuple[int, ...]] = []
-    _run_search(n, spec, stop_depth=split_depth, on_prefix=prefixes.append)
-    return [EnumerationTask(n, spec, p) for p in prefixes]
+    if split_depth != default_split_depth(n):
+        raise ValueError(f"scans split at the whole first row, depth {default_split_depth(n)}; got {split_depth}")
+    return _first_row_tasks(n, spec, Automata(n, spec))
 
 
 def default_split_depth(n: int) -> int:
@@ -533,15 +492,11 @@ def default_split_depth(n: int) -> int:
 
 def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., R], jobs: int) -> Iterator[R]:
     """
-    Run a scan as first-row prefix tasks: build the call's Automata, split
-    at default_split_depth(n) and map worker, given automata=, over the
-    tasks in task order.
+    Run a scan as first-row tasks: build the call's Automata, split at the
+    first row and map worker, given automata=, over the tasks in task order.
     """
     automata = Automata(n, spec)
-    prefixes: list[tuple[int, ...]] = []
-    _run_search(n, spec, stop_depth=default_split_depth(n), on_prefix=prefixes.append, automata=automata)
-    tasks = [EnumerationTask(n, spec, p) for p in prefixes]
-    return map_tasks(partial(worker, automata=automata), tasks, jobs)
+    return map_tasks(partial(worker, automata=automata), _first_row_tasks(n, spec, automata), jobs)
 
 
 def count_squares(

@@ -17,6 +17,7 @@ from latinpat.enumeration import (
     count_reduced_squares,
     count_squares,
     enumerate_with_first_row,
+    fill_row,
     map_tasks,
     partition_tasks,
     render_squares,
@@ -148,16 +149,15 @@ def _walk_task(task: EnumerationTask, automata: enumeration.Automata) -> tuple[i
     return _run_search(task.order, task.spec, task.prefix, automata=automata)
 
 
-def walk_count(n, spec, split_depth, jobs=1):
+def walk_count(n, spec, jobs=1):
     """
-    (count, nodes) by the row walk split into prefix tasks: one Automata,
-    the split at split_depth cells, then every task walked, the split's
-    nodes plus the tasks' summed in task order.
+    (count, nodes) by the row walk split at the first row, as scans run:
+    one Automata, the root's row search, then one task per first row, the
+    root's nodes plus the tasks' summed in task order.
     """
     automata = enumeration.Automata(n, spec)
-    prefixes = []
-    _, nodes = _run_search(n, spec, stop_depth=split_depth, on_prefix=prefixes.append, automata=automata)
-    tasks = [EnumerationTask(n, spec, p) for p in prefixes]
+    nodes = fill_row(automata, automata.root)[0]
+    tasks = enumeration._first_row_tasks(n, spec, automata)
     count = 0
     for c, nd in map_tasks(partial(_walk_task, automata=automata), tasks, jobs):
         count += c
@@ -166,8 +166,8 @@ def walk_count(n, spec, split_depth, jobs=1):
 
 
 def test_parallel_count_matches_serial():
-    serial = walk_count(4, EMPTY_SPEC, 4)
-    parallel = walk_count(4, EMPTY_SPEC, 4, jobs=4)
+    serial = walk_count(4, EMPTY_SPEC)
+    parallel = walk_count(4, EMPTY_SPEC, jobs=4)
     assert parallel[0] == serial[0] == 576
     assert parallel[1] == serial[1]
 
@@ -189,57 +189,56 @@ def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, 
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
 
 
-# (count, nodes_explored) of the row walk (walk_count) at split depths 0, 3,
-# 5, 7 and 10 of order 5 (the middle of the first row, its end, the middle
-# of the second row, its end), recorded from the cell-by-cell engine, except
-# that specs with symbol patterns read ENGINE_VERSION 3, which steps symbol
-# lines as rows are placed
+# (count, (nodes_explored, first-row nodes)) of the row walk at order 5:
+# the whole walk's nodes, recorded from the cell-by-cell engine, except that
+# specs with symbol patterns read ENGINE_VERSION 3, which steps symbol lines
+# as rows are placed; then the nodes of the first row's own search
 ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
-GOLDEN_DEPTHS = (0, 3, 5, 7, 10)
 GOLDEN_5 = [
-    (EMPTY_SPEC, 161280, (2314165, 2314345, 2314765, 2325085, 2366965)),
-    (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (748791, 748959, 749306, 758164, 787251)),
-    (ROWS_132_SYMBOLS_123, 5, (4035, 4119, 4245, 6569, 4265)),
+    (EMPTY_SPEC, 161280, (2314165, 325)),
+    (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (748791, 300)),
+    (ROWS_132_SYMBOLS_123, 5, (4035, 165)),
 ]
 
-# number of prefixes and sha256 of their JSON list from partition_tasks at
-# depths 3 and 7, in the order of GOLDEN_5
-GOLDEN_PREFIXES_5 = {
-    3: [
-        (60, "8f4fb16fe9ce83efa819c6562d271cb8d271040119d8c0f5c9633cc22fb601a6"),
-        (56, "9d54f2f45c9f4ae46e683cd90a1aaf591ab49bce815a244ddb28ecfd84c4e323"),
-        (28, "bc84256fbad53511c6930f576f0fe178ffa37c8d5c552846fd9c19c481712982"),
-    ],
-    7: [
-        (1560, "678b37fb12bcca1b688ba98c35a53aad2c4821157a665a40237ddae8c45c3c13"),
-        (1339, "738d4ba39b226b9802f523c4e63aa2324fb0ce91e63e2641131bce0c9e7ad580"),
-        (362, "ed63285027b684d2d09728eef0413865d96bdcc91072b6b1d8428a9d171ca46f"),
-    ],
-}
+# number of first-row tasks and sha256 of their JSON list from
+# partition_tasks(5, spec, 5), in the order of GOLDEN_5
+GOLDEN_PREFIXES_5 = [
+    (120, "c58916347faeef01f564a5117e919eb2f7254ab6aa46d730b9d14d16bd339ce1"),
+    (103, "6db33b6291a863c087fcedb0a0fed9a38fb72dbb6d82a5f4221789f0530f6540"),
+    (42, "bb995cf7f6c3d0366984c7aef11c95e49f13e2d8822aa3fc54a5a9fd3e18c0c9"),
+]
 
-# order 4 at split depths 0, 1, 4, 5 and 16 (a one-cell split, the first
-# row, one cell past it, the whole grid), from the same engine
+# the same at order 4, from the same engine
 GOLDEN_4 = [
-    (EMPTY_SPEC, 576, (5680, 5684, 5776, 6040, 14896)),
-    (AvoidanceSpec.both((1, 2, 3)), 4, (371, 375, 427, 556, 435)),
-    (AvoidanceSpec.columns_only((2, 3, 1)), 24, (782, 786, 878, 1052, 1166)),
-    (AvoidanceSpec.rows_only((1, 2)), 0, (13, 14, 17, 13, 13)),
-    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (1432, 1436, 1528, 1792, 1816)),
-    (ROWS_132_SYMBOLS_123, 4, (462, 466, 518, 672, 526)),
+    (EMPTY_SPEC, 576, (5680, 64)),
+    (AvoidanceSpec.both((1, 2, 3)), 4, (371, 48)),
+    (AvoidanceSpec.columns_only((2, 3, 1)), 24, (782, 64)),
+    (AvoidanceSpec.rows_only((1, 2)), 0, (13, 10)),
+    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (1432, 64)),
+    (ROWS_132_SYMBOLS_123, 4, (462, 48)),
 ]
+
+
+def assert_split_matches_unsplit(n, spec, count, nodes, jobs):
+    # the root's row search plus every first-row task's walk is the
+    # unsplit walk, count and nodes alike
+    whole, first_row = nodes
+    assert _run_search(n, spec) == (count, whole)
+    automata = enumeration.Automata(n, spec)
+    assert fill_row(automata, automata.root)[0] == first_row
+    assert walk_count(n, spec, jobs) == (count, whole)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("spec,count,nodes", GOLDEN_5)
 def test_golden_counts_and_nodes_order_5(spec, count, nodes, jobs):
-    got = [walk_count(5, spec, d, jobs) for d in GOLDEN_DEPTHS]
-    assert got == [(count, nd) for nd in nodes]
+    assert_split_matches_unsplit(5, spec, count, nodes, jobs)
 
 
 @pytest.mark.parametrize("spec,count,nodes", GOLDEN_4)
 def test_golden_counts_and_nodes_order_4(spec, count, nodes):
-    got = [walk_count(4, spec, d) for d in (0, 1, 4, 5, 16)]
-    assert got == [(count, nd) for nd in nodes]
+    for jobs in (1, 2):
+        assert_split_matches_unsplit(4, spec, count, nodes, jobs)
 
 
 @pytest.mark.parametrize("n,spec,count,nodes", [(5, *g) for g in GOLDEN_5] + [(4, *g) for g in GOLDEN_4])
@@ -250,17 +249,16 @@ def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
     assert (result.count, result.nodes_explored) == (count, nodes[0])
 
 
-@pytest.mark.parametrize("depth", sorted(GOLDEN_PREFIXES_5))
-def test_golden_partition_prefixes(depth):
-    for (spec, _, _), (size, digest) in zip(GOLDEN_5, GOLDEN_PREFIXES_5[depth]):
-        prefixes = [list(t.prefix) for t in partition_tasks(5, spec, depth)]
+def test_golden_partition_prefixes():
+    for (spec, _, _), (size, digest) in zip(GOLDEN_5, GOLDEN_PREFIXES_5):
+        prefixes = [list(t.prefix) for t in partition_tasks(5, spec, 5)]
         assert len(prefixes) == size
         assert hashlib.sha256(json.dumps(prefixes).encode()).hexdigest() == digest
 
 
 def test_split_shares_checker_caches(monkeypatch):
     # the first-row tasks of one call share its checkers, so splitting makes
-    # no more containment checks than the one-task run
+    # no more containment checks than the unsplit walk
     calls = [0]
     contains = perm.contains
 
@@ -270,12 +268,12 @@ def test_split_shares_checker_caches(monkeypatch):
 
     monkeypatch.setattr(perm, "contains", counted)
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    per_depth = []
-    for depth in (0, 5):
+    per_run = []
+    for run in (lambda: _run_search(5, spec), lambda: walk_count(5, spec)):
         calls[0] = 0
-        assert walk_count(5, spec, depth)[0] == 26928
-        per_depth.append(calls[0])
-    assert per_depth[0] == per_depth[1] > 0
+        assert run()[0] == 26928
+        per_run.append(calls[0])
+    assert per_run[0] == per_run[1] > 0
 
 
 def test_one_row_table_per_call(monkeypatch):
@@ -297,9 +295,9 @@ def test_one_row_table_per_call(monkeypatch):
         return len(made[0].table)
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    per_depth = [entries_built(lambda: walk_count(5, spec, d)) for d in (0, 5)]
-    assert per_depth[0] == per_depth[1] > 0
-    full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC, 5))
+    unsplit = entries_built(lambda: _run_search(5, spec))
+    assert entries_built(lambda: walk_count(5, spec)) == unsplit > 0
+    full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC))
     assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
 
 
@@ -310,11 +308,6 @@ def test_row_table_budget_keeps_answers(monkeypatch):
     automata = enumeration.Automata(5, spec)
     assert _run_search(5, spec, automata=automata) == (count, nodes[0])
     assert len(automata.table) == 50
-
-
-def test_search_rejects_prefix_that_is_not_latin():
-    with pytest.raises(ValueError, match="not Latin"):
-        _run_search(3, EMPTY_SPEC, (1, 2, 3, 1))
 
 
 def test_parallel_enumerate_order(squares4):
@@ -340,11 +333,8 @@ def test_jobs_below_one_rejected(jobs):
         list(map_tasks(abs, [1, 2], jobs))
 
 
-def test_map_tasks_keeps_task_order_and_reports_progress():
-    seen = []
-    got = list(map_tasks(abs, list(range(-40, 0)), 2, lambda done, total: seen.append((done, total))))
-    assert got == list(range(40, 0, -1))
-    assert seen == [(i, 40) for i in range(1, 41)]
+def test_map_tasks_keeps_task_order():
+    assert list(map_tasks(abs, list(range(-40, 0)), 2)) == list(range(40, 0, -1))
 
 
 class CountingWorker:
@@ -373,11 +363,6 @@ def test_map_tasks_installs_the_worker_once_per_process():
 # task partitioning
 # ---------------------------------------------------------------------------
 
-def test_partition_zero_depth():
-    tasks = partition_tasks(3, EMPTY_SPEC, 0)
-    assert tasks == [EnumerationTask(3, EMPTY_SPEC, ())]
-
-
 def test_partition_first_row():
     # one task per first-row permutation; by relabeling symmetry each
     # subtree holds 576/24 = 24 squares
@@ -388,25 +373,24 @@ def test_partition_first_row():
     assert sum(per_task) == 576
 
 
-@pytest.mark.parametrize("depth", [0, 2, 4, 7])
+@pytest.mark.parametrize("depth", [4])
 def test_partition_counts_sum(depth):
     spec = AvoidanceSpec.columns_only((1, 2, 3))
-    total = count_squares(4, spec).count
-    split = walk_count(4, spec, depth)[0]
-    assert split == total == 24
+    per_task = [len(enumerate_with_first_row(4, t.prefix, spec)) for t in partition_tasks(4, spec, depth)]
+    assert sum(per_task) == count_squares(4, spec).count == walk_count(4, spec)[0] == 24
 
 
 def test_partition_prefixes_consistent():
-    for task in partition_tasks(3, AvoidanceSpec.both((1, 2, 3)), 5):
-        assert len(task.prefix) == 5
-        assert len(set(task.prefix[:3])) == 3  # first row has no repeats
+    # the first rows that avoid 123, each a permutation, in increasing order
+    prefixes = [t.prefix for t in partition_tasks(3, AvoidanceSpec.both((1, 2, 3)), 3)]
+    assert prefixes == [p for p in perms(3) if p != (1, 2, 3)]
 
 
 def test_partition_depth_bounds():
-    with pytest.raises(ValueError):
-        partition_tasks(3, EMPTY_SPEC, 10)
-    with pytest.raises(ValueError):
-        partition_tasks(3, EMPTY_SPEC, -1)
+    # scans split at the whole first row only
+    for depth in (-1, 0, 3, 10):
+        with pytest.raises(ValueError):
+            partition_tasks(4, EMPTY_SPEC, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +414,9 @@ def test_every_first_row_completes_once():
 
 
 def test_first_row_length_mismatch():
-    with pytest.raises(ValueError):
-        enumerate_with_first_row(4, (1, 2, 3), EMPTY_SPEC)
+    for first_row in ((1, 2, 3), (1, 2, 2, 4)):
+        with pytest.raises(ValueError):
+            enumerate_with_first_row(4, first_row, EMPTY_SPEC)
 
 
 # ---------------------------------------------------------------------------
