@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import perm
 from .construct import connolly_square
@@ -27,7 +27,6 @@ from .enumeration import (
     _run_search,
     count_column_avoiders,
     count_squares,
-    enumerate_squares,
 )
 from .perm import Perm
 from .square import (
@@ -35,6 +34,7 @@ from .square import (
     AvoidanceSpec,
     Grid,
     LatinSquare,
+    _trusted_square,
     max_monotone,
     square_to_json,
 )
@@ -156,14 +156,6 @@ def lambda_witness_cap(sq: LatinSquare) -> int:
     return max_monotone(sq)
 
 
-class _Found(Exception):
-    """Carries the first square of a search, as args[0], out of its visitor."""
-
-
-def _raise_found(sq: LatinSquare) -> None:
-    raise _Found(sq)
-
-
 def compute_lambda_exhaustive(n: int) -> LambdaReport:
     """
     Exact minimax: the smallest max_monotone over all order-n squares, with
@@ -187,10 +179,9 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
 
     for value in itertools.count(lower - 1):
         spec = AvoidanceSpec.both(tuple(range(1, value + 2)), tuple(range(value + 1, 0, -1)))
-        try:
-            enumerate_squares(n, spec, _raise_found)
-        except _Found as hit:
-            witness = hit.args[0]
+        first = next(_run_search(n, spec), None)
+        if first is not None:
+            witness = _trusted_square(first)
             break
 
     if value < lower:
@@ -272,15 +263,10 @@ def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
     return m
 
 
-def _wilf_worker(task: EnumerationTask, k: int, cache: dict, automata: Automata) -> Counter:
+def _wilf_worker(task: EnumerationTask, k: int, cache: dict, automata: Automata) -> Iterator[Counter]:
     bit_of = _pattern_bits(k)
-    tally: Counter = Counter()
-
-    def visit(g: Grid) -> None:
-        tally[_grid_mask(g, k, bit_of, cache)] += 1
-
-    _run_search(task.order, task.spec, task.prefix, on_leaf=visit, automata=automata)
-    return tally
+    grids = _run_search(task.order, task.spec, task.prefix, automata=automata)
+    yield Counter(_grid_mask(g, k, bit_of, cache) for g in grids)
 
 
 def wilf_classes(
@@ -395,14 +381,13 @@ def verify_triple_containment(n: int) -> dict:
         bits = tuple(bit_of[p] for p in triple)
         triples.append((bits, sum(1 << b for b in bits)))
     bad: list = []
-
-    def visit(g: Grid) -> None:
+    squares = 0
+    for g in _run_search(n, EMPTY_SPEC):
+        squares += 1
         m = _grid_mask(g, 3, bit_of, cache)
         for bits, mask in triples:
             if m & mask not in (0, mask) and len(bad) < 5:
                 bad.append({"grid": [list(r) for r in g], "flags": [(m >> b) & 1 for b in bits]})
-
-    squares, _ = _run_search(n, EMPTY_SPEC, on_leaf=visit)
     return {"order": n, "squares": squares, "violations": bad, "ok": not bad}
 
 
@@ -417,8 +402,7 @@ def verify_cyclic_structure(n: int) -> dict:
     in number and that each has every column (and row) cyclic decreasing,
     each entry one less than the one above it, wrapping n below 1.
     """
-    squares: list[Grid] = []
-    _run_search(n, AvoidanceSpec.both((1, 2, 3)), on_leaf=squares.append)
+    squares = list(_run_search(n, AvoidanceSpec.both((1, 2, 3))))
     structural = all(
         all(_is_cyclic_decreasing(col) for col in zip(*g))
         and all(_is_cyclic_decreasing(row) for row in g)

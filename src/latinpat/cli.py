@@ -32,7 +32,6 @@ from .enumeration import (
     ENGINE_VERSION,
     FeasibilityError,
     count_squares,
-    enumerate_squares,
     render_squares,
 )
 from .perm import find_occurrence, parse_perm
@@ -316,39 +315,23 @@ class _SquareLines(dict):
 def _cmd_enumerate(args) -> int:
     n = _check_order(args.order)
     spec = _build_spec(args)
-    out = sys.stdout
-    seen = [0]
     progress = args.progress == "json"
-    lines = _SquareLines(n)
-
-    def report(squares: int) -> None:
-        sys.stderr.write(json.dumps({"event": "progress", "squares": squares}) + "\n")
-        sys.stderr.flush()
-
-    if args.jobs > 1:
-        # each task's lines are rendered in its pool process and arrive as
-        # one string; progress reports every 10,000 the task's end crossed
-        texts = render_squares(n, spec, lines, jobs=args.jobs, max_order=args.max_order)
-        with closing(texts):
-            for text in texts:
-                out.write(text)
-                if progress:
-                    done = seen[0] + text.count("\n")
-                    for squares in range((seen[0] // 10000 + 1) * 10000, done + 1, 10000):
-                        report(squares)
-                    seen[0] = done
-    else:
-        # one job streams: a first-row task of unrestricted order 6 alone
-        # holds ~1.13M squares
-        def visit(sq) -> None:
-            out.write(lines(sq.grid))
-            seen[0] += 1
-            if progress and seen[0] % 10000 == 0:
-                report(seen[0])
-
-        enumerate_squares(n, spec, visit, max_order=args.max_order)
+    seen = 0
+    # lines arrive in pieces of at most RENDER_PIECE_SQUARES squares, made
+    # where their task runs; progress reports every 10,000 a piece's end
+    # crossed
+    texts = render_squares(n, spec, _SquareLines(n), jobs=args.jobs, max_order=args.max_order)
+    with closing(texts):
+        for text in texts:
+            sys.stdout.write(text)
+            if progress:
+                done = seen + text.count("\n")
+                for squares in range((seen // 10000 + 1) * 10000, done + 1, 10000):
+                    sys.stderr.write(json.dumps({"event": "progress", "squares": squares}) + "\n")
+                sys.stderr.flush()
+                seen = done
     if progress:
-        sys.stderr.write(json.dumps({"event": "done", "squares": seen[0]}) + "\n")
+        sys.stderr.write(json.dumps({"event": "done", "squares": seen}) + "\n")
     return EXIT_OK
 
 

@@ -37,12 +37,14 @@ from the root counts.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
-enumerate_squares streams every square from one walk in this process.
+The walk is a generator that yields each grid and returns its nodes, so a
+consumer may stop at any square.  enumerate_squares iterates one walk.
 render_squares and the Wilf filter are set up by _pooled_scan: one task
 per first row, whatever the worker count.  A task walks the squares with
 that first row, and its nodes are the ones below it, so the first row's
-search plus every task's nodes give the unsplit walk's.  Merging per-task
-results in task order keeps every output the same for any worker count.
+search plus every task's nodes give the unsplit walk's.  A task's worker
+yields its results in pieces, and merging them in task order keeps every
+output the same for any worker count.
 The automata and the row table are built once per call and shared by all
 of that call's tasks.  A pool process gets the call's worker, and with it
 the table, once when it starts; the table then grows across every task
@@ -57,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
 from .perm import DEAD, PrefixAutomaton, as_perm, prefix_automaton
 from .square import (
@@ -325,11 +327,11 @@ def _run_search(
     spec: AvoidanceSpec,
     first_row: tuple[int, ...] | None = None,
     *,
-    on_leaf: Callable[[Grid], None] | None = None,
     automata: Automata | None = None,
-) -> tuple[int, int]:
+) -> Generator[Grid, None, int]:
     """
-    The row walk.  Returns (squares, nodes); on_leaf sees each grid.
+    The row walk.  Yields each square's grid, in lexicographic order, and
+    returns its nodes when exhausted (StopIteration.value).
 
     A node is a cell placement that passed the occupancy masks, counted
     before the automaton check.  With first_row given (a tuple), the walk
@@ -339,13 +341,14 @@ def _run_search(
     automata, an Automata(n, spec), lets several walks share one
     compilation and one row table.
 
-    The grid is walked a whole row at a time.  fill_row finds the rows that
-    can follow a column state, the column state each leads to, and the nodes
-    it counted.  The first visit to a column state stores that, with each
-    row decoded, in the row table; later visits add the stored nodes and
-    loop over the stored rows, so nodes_explored is the same as a
-    cell-by-cell search's.  Placing a whole row steps the symbol states,
-    and skips the row if one goes DEAD.
+    The grid is walked a whole row at a time, on an explicit stack of one
+    iterator of row positions per row.  fill_row finds the rows that can
+    follow a column state, the column state each leads to, and the nodes it
+    counted.  The first visit to a column state stores that, with each row
+    decoded, in the row table; later visits add the stored nodes and loop
+    over the stored rows, so nodes_explored is the same as a cell-by-cell
+    search's.  Placing a whole row steps the symbol states, and skips the
+    row if one goes DEAD.
     """
     auto = automata or Automata(n, spec)
     table, key_objs = auto.table, auto.keys
@@ -355,34 +358,35 @@ def _run_search(
     sym_at = [[auto.sym.root] * n for _ in range(n + 1)] if sym_next else None
 
     grid: list[tuple[int, ...]] = [()] * n
+    # entries[i], picks[i]: row i's table entry and an iterator of the
+    # positions in it of the rows still to try
+    entries: list = [None] * n
+    picks: list = [None] * n
     nodes = 0
-    squares = 0
-
-    def walk(i: int, key: int) -> None:
-        nonlocal nodes, squares
-        if i == n:
-            squares += 1
-            if on_leaf is not None:
-                on_leaf(tuple(grid))
-            return
-        entry = table.get(key)
-        if entry is None:
-            # [nodes, row, next, row, next, ...]
-            found = fill_row(auto, key)
-            entry = [found[0]]
-            for nxt in islice(found, 1, None):
-                entry += (cells_of[(key ^ nxt) & free_bits], nxt)
-            if len(table) < ROW_TABLE_BUDGET:
-                for k in range(2, len(entry), 2):
-                    entry[k] = key_objs.setdefault(entry[k], entry[k])
-                entry = table[key] = tuple(entry)
-        if i or first_row is None:
-            nodes += entry[0]
-            picks = range(1, len(entry), 2)
-        else:
-            # a first-row task: that row only, or none if the spec pruned it
-            picks = (entry.index(first_row),) if first_row in entry else ()
-        for k in picks:
+    i, key = 0, auto.root
+    while i >= 0:
+        if key is not None:
+            # the walk has just reached row i at column state key
+            entry = table.get(key)
+            if entry is None:
+                # [nodes, row, next, row, next, ...]
+                found = fill_row(auto, key)
+                entry = [found[0]]
+                for nxt in islice(found, 1, None):
+                    entry += (cells_of[(key ^ nxt) & free_bits], nxt)
+                if len(table) < ROW_TABLE_BUDGET:
+                    for k in range(2, len(entry), 2):
+                        entry[k] = key_objs.setdefault(entry[k], entry[k])
+                    entry = table[key] = tuple(entry)
+            if i or first_row is None:
+                nodes += entry[0]
+                picks[i] = iter(range(1, len(entry), 2))
+            else:
+                # a first-row task: that row only, or none if the spec pruned it
+                picks[i] = iter((entry.index(first_row),) if first_row in entry else ())
+            entries[i], key = entry, None
+        entry = entries[i]
+        for k in picks[i]:
             if sym_next:
                 # symbol s's line gains the column that holds s in this row;
                 # a row is a permutation, so every entry of new is written
@@ -392,24 +396,29 @@ def _run_search(
                 if DEAD in new:
                     continue
             grid[i] = entry[k]
-            walk(i + 1, entry[k + 1])
-
-    try:
-        walk(0, auto.root)
-    finally:
-        # walk's closure refers to itself, and through it to the row table:
-        # break the cycle so the table goes with the call, not at the next
-        # full garbage collection
-        del walk
-    return squares, nodes
+            if i == n - 1:
+                yield tuple(grid)
+            else:
+                i, key = i + 1, entry[k + 1]
+                break
+        else:
+            i -= 1
+    return nodes
 
 
-def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> str:
-    texts: list[str] = []
-    _run_search(
-        task.order, task.spec, task.prefix, on_leaf=lambda g: texts.append(render(g)), automata=automata
-    )
-    return "".join(texts)
+#: most squares _render_worker renders into one piece of text: enough to
+#: make one piece of every order-5 first-row task, few enough that a
+#: first-row task at order 6 (over a million squares) is never held whole
+RENDER_PIECE_SQUARES = 10_000
+
+
+def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> Iterator[str]:
+    grids = _run_search(task.order, task.spec, task.prefix, automata=automata)
+    while True:
+        texts = [render(g) for g in islice(grids, RENDER_PIECE_SQUARES)]
+        if not texts:
+            return
+        yield "".join(texts)
 
 
 def _worker_count(jobs: int, num_tasks: int) -> int:
@@ -423,31 +432,32 @@ def _worker_count(jobs: int, num_tasks: int) -> int:
 _pool_worker: Callable | None = None
 
 
-def _install_worker(worker: Callable[[T], R]) -> None:
+def _install_worker(worker: Callable[[T], Iterable[R]]) -> None:
     global _pool_worker
     _pool_worker = worker
 
 
 def _run_chunk(chunk: list[T]) -> list[R]:
-    return [_pool_worker(task) for task in chunk]
+    return [piece for task in chunk for piece in _pool_worker(task)]
 
 
-def map_tasks(worker: Callable[[T], R], tasks: Sequence[T], jobs: int) -> Iterator[R]:
+def map_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], jobs: int) -> Iterator[R]:
     """
-    Yield worker(task) for every task, in task order, whatever the worker
-    count.  One worker runs the tasks in this process; more run them in a
-    process pool, in chunks, with a bounded number of chunks in flight so
-    results never pile up ahead of a slow consumer.  Each pool process
-    receives worker once, when it starts, and chunks carry only their
-    tasks, so state the worker holds (such as a call's row table) lives on
-    in its process across chunks.  Closing the iterator early cancels the
-    queued chunks.
+    Yield the pieces worker(task) yields for every task, in task order,
+    whatever the worker count.  One worker runs the tasks in this process
+    and passes each piece on as soon as it is made; more run them in a
+    process pool, in chunks, each chunk's pieces returned as one list, with
+    a bounded number of chunks in flight so results never pile up ahead of
+    a slow consumer.  Each pool process receives worker once, when it
+    starts, and chunks carry only their tasks, so state the worker holds
+    (such as a call's row table) lives on in its process across chunks.
+    Closing the iterator early cancels the queued chunks.
     """
     total = len(tasks)
     workers = _worker_count(jobs, total)
     if workers == 1:
         for task in tasks:
-            yield worker(task)
+            yield from worker(task)
         return
     size = max(1, total // (workers * 4))
     chunks = (list(tasks[i:i + size]) for i in range(0, total, size))
@@ -465,7 +475,15 @@ def map_tasks(worker: Callable[[T], R], tasks: Sequence[T], jobs: int) -> Iterat
 
 
 def _first_row_tasks(n: int, spec: AvoidanceSpec, automata: Automata) -> list[EnumerationTask]:
-    """One task per first row the row and column automata let through, in increasing order."""
+    """
+    One task per first row the row and column automata let through, in
+    increasing order.  Row 0 starts the symbol lines with every column, so
+    either each first row kills a symbol line, leaving no task, or none
+    does.
+    """
+    sym = automata.sym
+    if sym and sym.live[sym.root] != automata.full:
+        return []
     root = automata.root
     found = fill_row(automata, root)
     return [
@@ -490,7 +508,7 @@ def default_split_depth(n: int) -> int:
     return n
 
 
-def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., R], jobs: int) -> Iterator[R]:
+def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., Iterable[R]], jobs: int) -> Iterator[R]:
     """
     Run a scan as first-row tasks: build the call's Automata, split at the
     first row and map worker, given automata=, over the tasks in task order.
@@ -533,11 +551,12 @@ def enumerate_squares(
 ) -> None:
     """
     Invoke visitor exactly once per satisfying square, in lexicographic order
-    of the row-major grid, streamed straight from the search in this
-    process.  A visitor that raises stops the search.
+    of the row-major grid, each as the walk in this process yields it.  A
+    visitor that raises stops the search.
     """
     check_enumeration_bound(n, spec, max_order)
-    _run_search(n, spec, on_leaf=lambda g: visitor(_trusted_square(g)))
+    for grid in _run_search(n, spec):
+        visitor(_trusted_square(grid))
 
 
 def render_squares(
@@ -549,13 +568,14 @@ def render_squares(
     max_order: int | None = None,
 ) -> Iterator[str]:
     """
-    Yield the satisfying squares as text: for each first-row task, in task
-    order, the concatenation of render(grid) over the task's squares in
-    lexicographic order.  render runs where the task runs, in a pool process
-    when jobs > 1, so the caller receives one string per task instead of
-    every grid.  It must be picklable, and a pool process keeps its copy,
-    with anything it caches, across all of its tasks.  Closing the iterator
-    early cancels the queued tasks.
+    Yield the satisfying squares as text, in lexicographic order: pieces
+    that each join render(grid) over at most RENDER_PIECE_SQUARES squares
+    of one first-row task, in task order, at any jobs.  render runs where
+    the task runs, in a pool process when jobs > 1, so the caller receives
+    a few strings per task instead of every grid, and no piece holds a
+    whole order-6 task.  render must be picklable, and a pool process keeps
+    its copy, with anything it caches, across all of its tasks.  Closing
+    the iterator early cancels the queued tasks.
     """
     check_enumeration_bound(n, spec, max_order)
     return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)
@@ -573,9 +593,7 @@ def enumerate_with_first_row(
     if len(first_row) != n:
         raise ValueError(f"first row has length {len(first_row)}, expected {n}")
     check_enumeration_bound(n, spec, max_order)
-    out: list[LatinSquare] = []
-    _run_search(n, spec, first_row, on_leaf=lambda g: out.append(_trusted_square(g)))
-    return out
+    return [_trusted_square(g) for g in _run_search(n, spec, first_row)]
 
 
 # ---------------------------------------------------------------------------

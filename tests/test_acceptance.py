@@ -146,16 +146,13 @@ def test_criterion_4_full_length_identity():
     bit_of = {p: i for i, p in enumerate(patterns5)}
     contained = [0] * len(patterns5)
     tally = {}
-
-    def visit(g):
+    for g in _run_search(5, EMPTY_SPEC):
         mask = 0
         for line in g:
             mask |= 1 << bit_of[line]
         for line in zip(*g):
             mask |= 1 << bit_of[line]
         tally[mask] = tally.get(mask, 0) + 1
-
-    _run_search(5, EMPTY_SPEC, on_leaf=visit)
     for p, b in bit_of.items():
         avoid = sum(f for m, f in tally.items() if not (m >> b) & 1)
         assert avoid == 148120, p

@@ -29,7 +29,7 @@ from latinpat.square import (
     latin_square,
 )
 
-from conftest import S3, S4, collect_squares, perms
+from conftest import S3, S4, collect_squares, perms, walk_stats
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def test_visitor_order_is_lexicographic(squares3):
     assert grids[0] == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
-def _walk_task(task: EnumerationTask, automata: enumeration.Automata) -> tuple[int, int]:
-    return _run_search(task.order, task.spec, task.prefix, automata=automata)
+def _walk_task(task: EnumerationTask, automata: enumeration.Automata):
+    yield walk_stats(_run_search(task.order, task.spec, task.prefix, automata=automata))
 
 
 def walk_count(n, spec, jobs=1):
@@ -223,7 +223,7 @@ def assert_split_matches_unsplit(n, spec, count, nodes, jobs):
     # the root's row search plus every first-row task's walk is the
     # unsplit walk, count and nodes alike
     whole, first_row = nodes
-    assert _run_search(n, spec) == (count, whole)
+    assert walk_stats(_run_search(n, spec)) == (count, whole)
     automata = enumeration.Automata(n, spec)
     assert fill_row(automata, automata.root)[0] == first_row
     assert walk_count(n, spec, jobs) == (count, whole)
@@ -269,7 +269,7 @@ def test_split_shares_checker_caches(monkeypatch):
     monkeypatch.setattr(perm, "contains", counted)
     spec = AvoidanceSpec.both((1, 2, 3, 4))
     per_run = []
-    for run in (lambda: _run_search(5, spec), lambda: walk_count(5, spec)):
+    for run in (lambda: walk_stats(_run_search(5, spec)), lambda: walk_count(5, spec)):
         calls[0] = 0
         assert run()[0] == 26928
         per_run.append(calls[0])
@@ -295,7 +295,7 @@ def test_one_row_table_per_call(monkeypatch):
         return len(made[0].table)
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    unsplit = entries_built(lambda: _run_search(5, spec))
+    unsplit = entries_built(lambda: walk_stats(_run_search(5, spec)))
     assert entries_built(lambda: walk_count(5, spec)) == unsplit > 0
     full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC))
     assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
@@ -306,15 +306,41 @@ def test_row_table_budget_keeps_answers(monkeypatch):
     monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
     spec, count, nodes = GOLDEN_5[1]
     automata = enumeration.Automata(5, spec)
-    assert _run_search(5, spec, automata=automata) == (count, nodes[0])
+    assert walk_stats(_run_search(5, spec, automata=automata)) == (count, nodes[0])
     assert len(automata.table) == 50
 
 
 def test_parallel_enumerate_order(squares4):
     # the pool path of the CLI's parallel enumerate: one string per task
     lines = cli._SquareLines(4)
-    got = "".join(render_squares(4, EMPTY_SPEC, lines, jobs=4))
-    assert got == "".join(lines(sq.grid) for sq in squares4)
+    got = list(render_squares(4, EMPTY_SPEC, lines, jobs=4))
+    assert len(got) == 24
+    assert "".join(got) == "".join(lines(sq.grid) for sq in squares4)
+
+
+# sha256 of `latinpat enumerate --order 5`'s stdout
+ENUMERATE_5_SHA256 = "8ba4bd79604dc07ff386ecf08a29bb1cea3500fb2ec63f4a4b3006ad072b16a6"
+
+
+def test_render_squares_yields_bounded_pieces(monkeypatch):
+    # a task's lines leave its worker in pieces of at most
+    # RENDER_PIECE_SQUARES squares, so no piece holds a whole large task;
+    # each of the 120 first-row tasks at order 5 has 1,344 squares
+    monkeypatch.setattr(enumeration, "RENDER_PIECE_SQUARES", 100)
+    pieces = list(render_squares(5, EMPTY_SPEC, cli._SquareLines(5), jobs=1))
+    assert [p.count("\n") for p in pieces] == ([100] * 13 + [44]) * 120
+    assert hashlib.sha256("".join(pieces).encode()).hexdigest() == ENUMERATE_5_SHA256
+
+
+def test_symbol_dead_first_rows_start_no_pool(monkeypatch):
+    # every first row kills a symbol line of 12, so there are no tasks and
+    # no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a spec with no tasks started a process pool")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    spec = AvoidanceSpec(symbol_patterns=((1, 2),))
+    assert list(render_squares(4, spec, repr, jobs=2)) == []
 
 
 def test_worker_count_is_clamped_to_tasks_and_cpus():
@@ -325,16 +351,23 @@ def test_worker_count_is_clamped_to_tasks_and_cpus():
     assert _worker_count(4, 0) == 1
 
 
+def _abs_twice(task: int):
+    yield abs(task)
+    yield abs(task)
+
+
 @pytest.mark.parametrize("jobs", [0, -5])
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError, match="jobs"):
         _worker_count(jobs, 10)
     with pytest.raises(ValueError, match="jobs"):
-        list(map_tasks(abs, [1, 2], jobs))
+        list(map_tasks(_abs_twice, [1, 2], jobs))
 
 
 def test_map_tasks_keeps_task_order():
-    assert list(map_tasks(abs, list(range(-40, 0)), 2)) == list(range(40, 0, -1))
+    want = [m for m in range(40, 0, -1) for _ in range(2)]
+    for jobs in (1, 2):
+        assert list(map_tasks(_abs_twice, list(range(-40, 0)), jobs)) == want
 
 
 class CountingWorker:
@@ -343,9 +376,9 @@ class CountingWorker:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, task: int) -> tuple[int, int]:
+    def __call__(self, task: int):
         self.calls += 1
-        return os.getpid(), self.calls
+        yield os.getpid(), self.calls
 
 
 def test_map_tasks_installs_the_worker_once_per_process():
