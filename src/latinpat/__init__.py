@@ -35,7 +35,6 @@ from .construct import (
 )
 from .enumeration import (
     CountResult,
-    EnumerationTask,
     FeasibilityError,
     count_column_avoiders,
     count_reduced_squares,

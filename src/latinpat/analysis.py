@@ -21,7 +21,6 @@ from . import perm
 from .construct import connolly_square
 from .enumeration import (
     Automata,
-    EnumerationTask,
     FeasibilityError,
     _pooled_scan,
     _run_search,
@@ -179,7 +178,7 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
 
     for value in itertools.count(lower - 1):
         spec = AvoidanceSpec.both(tuple(range(1, value + 2)), tuple(range(value + 1, 0, -1)))
-        first = next(_run_search(n, spec), None)
+        first = next(_run_search(Automata(n, spec)), None)
         if first is not None:
             witness = _trusted_square(first)
             break
@@ -263,9 +262,9 @@ def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
     return m
 
 
-def _wilf_worker(task: EnumerationTask, k: int, cache: dict, automata: Automata) -> Iterator[Counter]:
+def _wilf_worker(first_row: tuple[int, ...], k: int, cache: dict, automata: Automata) -> Iterator[Counter]:
     bit_of = _pattern_bits(k)
-    grids = _run_search(task.order, task.spec, task.prefix, automata=automata)
+    grids = _run_search(automata, first_row)
     yield Counter(_grid_mask(g, k, bit_of, cache) for g in grids)
 
 
@@ -382,7 +381,7 @@ def verify_triple_containment(n: int) -> dict:
         triples.append((bits, sum(1 << b for b in bits)))
     bad: list = []
     squares = 0
-    for g in _run_search(n, EMPTY_SPEC):
+    for g in _run_search(Automata(n, EMPTY_SPEC)):
         squares += 1
         m = _grid_mask(g, 3, bit_of, cache)
         for bits, mask in triples:
@@ -402,7 +401,7 @@ def verify_cyclic_structure(n: int) -> dict:
     in number and that each has every column (and row) cyclic decreasing,
     each entry one less than the one above it, wrapping n below 1.
     """
-    squares = list(_run_search(n, AvoidanceSpec.both((1, 2, 3))))
+    squares = list(_run_search(Automata(n, AvoidanceSpec.both((1, 2, 3)))))
     structural = all(
         all(_is_cyclic_decreasing(col) for col in zip(*g))
         and all(_is_cyclic_decreasing(row) for row in g)

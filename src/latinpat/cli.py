@@ -165,7 +165,6 @@ class CacheStore:
         entry = {
             "key": key,
             "value": value,
-            "tool_version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         line = (json.dumps(entry, sort_keys=True) + "\n").encode()

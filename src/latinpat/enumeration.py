@@ -8,25 +8,27 @@ goes DEAD as soon as its prefix contains a pattern or can no longer be
 completed to an avoiding permutation of 1..n, and nothing below a dead
 prefix is searched.  A side with no patterns gets a one-state automaton
 that takes every symbol.  Symbol lines (row index -> column of the symbol)
-keep one state per symbol too, stepped as each row is placed.
+keep one state per symbol too: placing a row appends one column to every
+symbol's line.
 
-The grid is filled a whole row at a time.  The rows that can fill row i
-depend only on the column state, every column's free symbols and automaton
-state packed into one int.  fill_row, the one single-row search, finds
-them cell by cell and returns the column state after each; a row is not
-kept, because cell j holds the one symbol column j's free mask lost, so
-Automata.row_cells decodes it from the column states before and after it
-where a tuple is needed.  Two engines share it:
+The grid is filled a whole row at a time.  The search state after a row
+is one int, the key: every column's free symbols and automaton state,
+with each symbol line's state packed above them.  fill_row, the one
+single-row search and the one transition, finds the rows that can follow
+a key cell by cell, steps the symbol lines for each, and returns the key
+after each row that kills no line; a row is not kept, because cell j
+holds the one symbol column j's free mask lost, so Automata.row_cells
+decodes it from the keys before and after it where a tuple is needed.
+Two engines expand the same keys:
 
 - count_squares sweeps forward by the transfer-matrix method (Stanley,
-  EC1 4.7), in this process: layer i maps each state after i rows (the
-  column state, with the symbol states packed above it) to the number of
-  partial squares reaching it, each state is expanded once, and the count
-  is the sum of the last layer.
+  EC1 4.7), in this process: layer i maps each key after i rows to the
+  number of partial squares reaching it, each key is expanded once, and
+  the count is the sum of the last layer.
 - The row walk (_run_search) visits every square, for enumerate_squares,
   render_squares, the Wilf filter and the lambda search.  Its per-call row
-  table keeps each column state's rows, decoded, and next states, so each
-  state's row search runs once.
+  table keeps each key's rows, decoded, and next keys, so each key's row
+  search runs once.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check, so nodes_explored counts the placements tried below
@@ -39,10 +41,11 @@ Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 The walk is a generator that yields each grid and returns its nodes, so a
 consumer may stop at any square.  enumerate_squares iterates one walk.
-render_squares and the Wilf filter are set up by _pooled_scan: one task
-per first row, whatever the worker count.  A task walks the squares with
-that first row, and its nodes are the ones below it, so the first row's
-search plus every task's nodes give the unsplit walk's.  A task's worker
+render_squares and the Wilf filter are set up by _pooled_scan: a task is
+a first row, as a tuple, that the root's fill_row lets through, whatever
+the worker count.  A task walks the squares with that first row, and its
+nodes are the ones below it, so the first row's search plus every task's
+nodes give the unsplit walk's.  A task's worker
 yields its results in pieces, and merging them in task order keeps every
 output the same for any worker count.
 The automata and the row table are built once per call and shared by all
@@ -80,8 +83,8 @@ DEFAULT_UNRESTRICTED_BOUND = 6
 #: ceiling for the independent reduced-square cross-check search
 REDUCED_SEARCH_BOUND = 6
 
-#: most column states one row walk's table stores (a few hundred bytes
-#: each); states past it are searched again on every visit
+#: most states one row walk's table stores (a few hundred bytes each);
+#: states past it are searched again on every visit
 ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
@@ -107,15 +110,6 @@ class CountResult:
             "count": self.count,
             "nodes_explored": self.nodes_explored,
         }
-
-
-@dataclass(frozen=True)
-class EnumerationTask:
-    """A disjoint chunk of the search space: the squares whose first row is prefix."""
-
-    order: int
-    spec: AvoidanceSpec
-    prefix: tuple[int, ...]
 
 
 def _spec_prunes(n: int, spec: AvoidanceSpec) -> bool:
@@ -198,17 +192,19 @@ class Automata:
     row, column and symbol prefix automata of the spec, and the row table.
 
     A row or column side with no pattern of length at most n gets
-    _free_automaton(n); a symbol side with none gets None.  A column state
-    is every column's free-symbol mask and automaton state, packed into one
-    int, width bits per column.  The row table maps the column state at the
-    start of a row to one flat tuple (nodes, row, next, row, next, ...): the
-    nodes fill_row counted from that state, then each row that fills it, in
-    increasing order, with the column state it leads to.  _run_search fills
-    it on first visit, up to ROW_TABLE_BUDGET states, and a first-row task
-    picks its row out of the root's entry.  keys holds the one object kept
-    for each distinct next state, and row_cells[(key ^ next) & free_bits]
-    the one tuple for each row.  At order 5 with no patterns the table
-    holds 4,321 states in about 1.2 MB.
+    _free_automaton(n); a symbol side with none gets None.  A key, the
+    search state between rows, packs every column's free-symbol mask and
+    automaton state, width bits per column, into its low col_bits bits,
+    and each symbol line's automaton state above them (sym_mask bits at the
+    shift sym_steps gives); root is the key before row 0.  The row table
+    maps the key at the start of a row to one flat tuple (nodes, row, next,
+    row, next, ...): the nodes fill_row counted from that key, then each
+    row it let through, in increasing order, with the key it leads to.
+    _run_search fills it on first visit, up to ROW_TABLE_BUDGET keys, and a
+    first-row task picks its row out of the root's entry.  keys holds the
+    one object kept for each distinct next key, and row_cells[(key ^ next)
+    & free_bits] the one tuple for each row.  At order 5 with no patterns
+    the table holds 4,321 keys in about 1.2 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec):
@@ -222,8 +218,19 @@ class Automata:
         self.col = col or _free_automaton(n)
         self.width = n + (len(self.col.live) - 1).bit_length()
         self.full = (1 << n) - 1
+        self.col_bits = n * self.width
         column = (self.col.root << n) | self.full
         self.root = sum(column << (j * self.width) for j in range(n))
+        if self.sym:
+            sym_width = (len(self.sym.next) - 1).bit_length()
+            shifts = range(self.col_bits, self.col_bits + n * sym_width, sym_width)
+            self.root |= sum(self.sym.root << shift for shift in shifts)
+            self.sym_mask = (1 << sym_width) - 1
+            # symbol s's (shift, steps): steps[state][j] is the line's next
+            # state after column j, shifted into place (0 if DEAD)
+            self.sym_steps = [
+                (shift, [tuple(t << shift for t in row) for row in self.sym.next]) for shift in shifts
+            ]
         self.table: dict[int, tuple] = {}
         self.keys: dict[int, int] = {}
         self.columns = _Columns(n, self.col)
@@ -234,11 +241,13 @@ class Automata:
 
 def fill_row(auto: Automata, key: int) -> list[int]:
     """
-    The single-row search: every way to fill a row after column state key,
-    extended one column at a time so the rows come out in increasing order.
-    Returns [nodes, next, next, ...]: the placements that passed the
-    occupancy masks, counted before the automaton check, then the column
-    state after each row.  No row is kept: auto.row_cells[(key ^ next) &
+    The single-row search, the search's one transition: every way to fill
+    a row after key, extended one column at a time so the rows come out in
+    increasing order.  Returns [nodes, next, next, ...]: the placements
+    that passed the occupancy masks, counted before the automaton check,
+    then the key after each row.  Each complete row steps the symbol
+    lines, and a row that leaves one DEAD is dropped, its nodes already
+    counted.  No row is kept: auto.row_cells[(key ^ next) &
     auto.free_bits] decodes one.
     """
     n, width = auto.n, auto.width
@@ -270,92 +279,72 @@ def fill_row(auto: Automata, key: int) -> list[int]:
             if avail & row_live[rs] & c_live:
                 found.append(acc | placed[avail.bit_length()] << shift)
     found[0] = nodes
-    return found
+    if auto.sym is None:
+        return found
+    # symbol s's line gains the column that holds s in this row:
+    # steps[s - 1][j] is its state after column j, in place in the key
+    sym_mask = auto.sym_mask
+    steps = [table[(key >> shift) & sym_mask] for shift, table in auto.sym_steps]
+    cells_of, free_bits = auto.row_cells, auto.free_bits
+    kept = [nodes]
+    for nxt in islice(found, 1, None):
+        for j, s in enumerate(cells_of[(key ^ nxt) & free_bits], 1):
+            step = steps[s - 1][j]
+            if not step:
+                break
+            nxt |= step
+        else:
+            kept.append(nxt)
+    return kept
 
 
 def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> tuple[int, int]:
     """
     Count by the transfer-matrix method: (squares, nodes).  Layer i maps
-    each state after i rows (the column state, with the symbol states
-    packed above it) to the number of partial squares that reach it.  Each
-    state is expanded once by fill_row, and nodes adds that search's nodes
-    once per partial square, so it equals the row walk's nodes_explored.
+    each key after i rows to the number of partial squares that reach it.
+    Each key is expanded once by fill_row, and nodes adds that search's
+    nodes once per partial square, so it equals the row walk's
+    nodes_explored.
     """
-    n, sym = auto.n, auto.sym
-    col_bits = n * auto.width
-    column_mask = (1 << col_bits) - 1
-    if sym:
-        sym_next = sym.next
-        sym_width = (len(sym_next) - 1).bit_length()
-        sym_mask = (1 << sym_width) - 1
-        root = auto.root | sum(sym.root << (col_bits + s * sym_width) for s in range(n))
-    else:
-        root = auto.root
-    cells_of, free_bits = auto.row_cells, auto.free_bits
-    layer = {root: 1}
+    n = auto.n
+    layer = {auto.root: 1}
     nodes = 0
     for i in range(n):
         after: dict[int, int] = {}
         get = after.get
         for key, paths in layer.items():
-            found = fill_row(auto, key & column_mask)
+            found = fill_row(auto, key)
             nodes += paths * found[0]
-            if not sym:
-                for nxt in islice(found, 1, None):
-                    after[nxt] = get(nxt, 0) + paths
-                continue
-            states = key >> col_bits
             for nxt in islice(found, 1, None):
-                # symbol s's line gains the column that holds s in this row
-                stepped = 0
-                for j, s in enumerate(cells_of[(key ^ nxt) & free_bits], 1):
-                    state = sym_next[(states >> ((s - 1) * sym_width)) & sym_mask][j]
-                    if state == DEAD:
-                        break
-                    stepped |= state << ((s - 1) * sym_width)
-                else:
-                    nxt |= stepped << col_bits
-                    after[nxt] = get(nxt, 0) + paths
+                after[nxt] = get(nxt, 0) + paths
         layer = after
         if progress is not None:
             progress(i + 1, n, len(layer))
     return sum(layer.values()), nodes
 
 
-def _run_search(
-    n: int,
-    spec: AvoidanceSpec,
-    first_row: tuple[int, ...] | None = None,
-    *,
-    automata: Automata | None = None,
-) -> Generator[Grid, None, int]:
+def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Generator[Grid, None, int]:
     """
-    The row walk.  Yields each square's grid, in lexicographic order, and
-    returns its nodes when exhausted (StopIteration.value).
+    The row walk over auto's order and spec.  Yields each square's grid, in
+    lexicographic order, and returns its nodes when exhausted
+    (StopIteration.value).  Walks that share auto share its row table.
 
     A node is a cell placement that passed the occupancy masks, counted
     before the automaton check.  With first_row given (a tuple), the walk
     is one first-row task: it visits only the squares with that first row,
     and its nodes leave out the first row's own search, so the root's
     fill_row nodes plus every task's nodes are the unsplit walk's.
-    automata, an Automata(n, spec), lets several walks share one
-    compilation and one row table.
 
     The grid is walked a whole row at a time, on an explicit stack of one
     iterator of row positions per row.  fill_row finds the rows that can
-    follow a column state, the column state each leads to, and the nodes it
-    counted.  The first visit to a column state stores that, with each row
-    decoded, in the row table; later visits add the stored nodes and loop
-    over the stored rows, so nodes_explored is the same as a cell-by-cell
-    search's.  Placing a whole row steps the symbol states, and skips the
-    row if one goes DEAD.
+    follow a key, the key each leads to, and the nodes it counted.  The
+    first visit to a key stores that, with each row decoded, in the row
+    table; later visits add the stored nodes and loop over the stored rows,
+    so nodes_explored is the same as a cell-by-cell search's.
     """
-    auto = automata or Automata(n, spec)
+    n = auto.n
     table, key_objs = auto.table, auto.keys
     cells_of, free_bits = auto.row_cells, auto.free_bits
-    sym_next = auto.sym and auto.sym.next
-    # sym_at[i]: each symbol's state before row i, rewritten in place
-    sym_at = [[auto.sym.root] * n for _ in range(n + 1)] if sym_next else None
 
     grid: list[tuple[int, ...]] = [()] * n
     # entries[i], picks[i]: row i's table entry and an iterator of the
@@ -366,7 +355,7 @@ def _run_search(
     i, key = 0, auto.root
     while i >= 0:
         if key is not None:
-            # the walk has just reached row i at column state key
+            # the walk has just reached row i at key
             entry = table.get(key)
             if entry is None:
                 # [nodes, row, next, row, next, ...]
@@ -382,19 +371,11 @@ def _run_search(
                 nodes += entry[0]
                 picks[i] = iter(range(1, len(entry), 2))
             else:
-                # a first-row task: that row only, or none if the spec pruned it
+                # a first-row task: that row only, or none if fill_row dropped it
                 picks[i] = iter((entry.index(first_row),) if first_row in entry else ())
             entries[i], key = entry, None
         entry = entries[i]
         for k in picks[i]:
-            if sym_next:
-                # symbol s's line gains the column that holds s in this row;
-                # a row is a permutation, so every entry of new is written
-                old, new = sym_at[i], sym_at[i + 1]
-                for j, s in enumerate(entry[k], 1):
-                    new[s - 1] = sym_next[old[s - 1]][j]
-                if DEAD in new:
-                    continue
             grid[i] = entry[k]
             if i == n - 1:
                 yield tuple(grid)
@@ -412,8 +393,8 @@ def _run_search(
 RENDER_PIECE_SQUARES = 10_000
 
 
-def _render_worker(task: EnumerationTask, automata: Automata, render: Callable[[Grid], str]) -> Iterator[str]:
-    grids = _run_search(task.order, task.spec, task.prefix, automata=automata)
+def _render_worker(first_row: tuple[int, ...], automata: Automata, render: Callable[[Grid], str]) -> Iterator[str]:
+    grids = _run_search(automata, first_row)
     while True:
         texts = [render(g) for g in islice(grids, RENDER_PIECE_SQUARES)]
         if not texts:
@@ -474,33 +455,25 @@ def map_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], jobs: int)
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _first_row_tasks(n: int, spec: AvoidanceSpec, automata: Automata) -> list[EnumerationTask]:
+def _first_row_tasks(auto: Automata) -> list[tuple[int, ...]]:
     """
-    One task per first row the row and column automata let through, in
-    increasing order.  Row 0 starts the symbol lines with every column, so
-    either each first row kills a symbol line, leaving no task, or none
-    does.
+    The scan tasks of auto's search: each first row the root's fill_row lets
+    through (the row, column and symbol automata alike), in increasing order.
     """
-    sym = automata.sym
-    if sym and sym.live[sym.root] != automata.full:
-        return []
-    root = automata.root
-    found = fill_row(automata, root)
-    return [
-        EnumerationTask(n, spec, automata.row_cells[(root ^ nxt) & automata.free_bits])
-        for nxt in islice(found, 1, None)
-    ]
+    root = auto.root
+    return [auto.row_cells[(root ^ nxt) & auto.free_bits] for nxt in islice(fill_row(auto, root), 1, None)]
 
 
-def partition_tasks(n: int, spec: AvoidanceSpec, split_depth: int) -> list[EnumerationTask]:
+def partition_tasks(n: int, spec: AvoidanceSpec, split_depth: int) -> list[tuple[int, ...]]:
     """
-    Split the search space into first-row tasks, pairwise disjoint and
-    covering the whole space; per-task counts sum to the full count.
-    split_depth must be default_split_depth(n), the only split scans make.
+    Split the search space into first-row tasks, each the row tuple,
+    pairwise disjoint and covering the whole space; per-task counts sum to
+    the full count.  split_depth must be default_split_depth(n), the only
+    split scans make.
     """
     if split_depth != default_split_depth(n):
         raise ValueError(f"scans split at the whole first row, depth {default_split_depth(n)}; got {split_depth}")
-    return _first_row_tasks(n, spec, Automata(n, spec))
+    return _first_row_tasks(Automata(n, spec))
 
 
 def default_split_depth(n: int) -> int:
@@ -514,7 +487,7 @@ def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., Iterable[R]]
     first row and map worker, given automata=, over the tasks in task order.
     """
     automata = Automata(n, spec)
-    return map_tasks(partial(worker, automata=automata), _first_row_tasks(n, spec, automata), jobs)
+    return map_tasks(partial(worker, automata=automata), _first_row_tasks(automata), jobs)
 
 
 def count_squares(
@@ -555,7 +528,7 @@ def enumerate_squares(
     visitor that raises stops the search.
     """
     check_enumeration_bound(n, spec, max_order)
-    for grid in _run_search(n, spec):
+    for grid in _run_search(Automata(n, spec)):
         visitor(_trusted_square(grid))
 
 
@@ -593,7 +566,7 @@ def enumerate_with_first_row(
     if len(first_row) != n:
         raise ValueError(f"first row has length {len(first_row)}, expected {n}")
     check_enumeration_bound(n, spec, max_order)
-    return [_trusted_square(g) for g in _run_search(n, spec, first_row)]
+    return [_trusted_square(g) for g in _run_search(Automata(n, spec), first_row)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from latinpat.construct import (
     connolly_square,
 )
 from latinpat.enumeration import (
+    Automata,
     _run_search,
     count_column_avoiders,
     count_reduced_squares,
@@ -146,7 +147,7 @@ def test_criterion_4_full_length_identity():
     bit_of = {p: i for i, p in enumerate(patterns5)}
     contained = [0] * len(patterns5)
     tally = {}
-    for g in _run_search(5, EMPTY_SPEC):
+    for g in _run_search(Automata(5, EMPTY_SPEC)):
         mask = 0
         for line in g:
             mask |= 1 << bit_of[line]

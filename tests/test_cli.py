@@ -372,7 +372,7 @@ def test_cache_round_trip(tmp_path, capsys):
     entry = json.loads((tmp_path / "cache.jsonl").read_text().splitlines()[0])
     assert entry["key"]["op"] == "count"
     assert entry["value"]["count"] == 576
-    assert "tool_version" in entry and "timestamp" in entry
+    assert "timestamp" in entry and "tool_version" not in entry
 
 
 def test_cache_verify_ok_and_tampered(tmp_path, capsys):

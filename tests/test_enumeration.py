@@ -9,7 +9,6 @@ import pytest
 from latinpat import analysis, cli, construct, enumeration, perm
 from latinpat.cli import main
 from latinpat.enumeration import (
-    EnumerationTask,
     FeasibilityError,
     _run_search,
     _worker_count,
@@ -145,8 +144,8 @@ def test_visitor_order_is_lexicographic(squares3):
     assert grids[0] == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
-def _walk_task(task: EnumerationTask, automata: enumeration.Automata):
-    yield walk_stats(_run_search(task.order, task.spec, task.prefix, automata=automata))
+def _walk_task(first_row: tuple, automata: enumeration.Automata):
+    yield walk_stats(_run_search(automata, first_row))
 
 
 def walk_count(n, spec, jobs=1):
@@ -157,7 +156,7 @@ def walk_count(n, spec, jobs=1):
     """
     automata = enumeration.Automata(n, spec)
     nodes = fill_row(automata, automata.root)[0]
-    tasks = enumeration._first_row_tasks(n, spec, automata)
+    tasks = enumeration._first_row_tasks(automata)
     count = 0
     for c, nd in map_tasks(partial(_walk_task, automata=automata), tasks, jobs):
         count += c
@@ -223,7 +222,7 @@ def assert_split_matches_unsplit(n, spec, count, nodes, jobs):
     # the root's row search plus every first-row task's walk is the
     # unsplit walk, count and nodes alike
     whole, first_row = nodes
-    assert walk_stats(_run_search(n, spec)) == (count, whole)
+    assert walk_stats(_run_search(enumeration.Automata(n, spec))) == (count, whole)
     automata = enumeration.Automata(n, spec)
     assert fill_row(automata, automata.root)[0] == first_row
     assert walk_count(n, spec, jobs) == (count, whole)
@@ -251,7 +250,7 @@ def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
 
 def test_golden_partition_prefixes():
     for (spec, _, _), (size, digest) in zip(GOLDEN_5, GOLDEN_PREFIXES_5):
-        prefixes = [list(t.prefix) for t in partition_tasks(5, spec, 5)]
+        prefixes = [list(t) for t in partition_tasks(5, spec, 5)]
         assert len(prefixes) == size
         assert hashlib.sha256(json.dumps(prefixes).encode()).hexdigest() == digest
 
@@ -269,7 +268,7 @@ def test_split_shares_checker_caches(monkeypatch):
     monkeypatch.setattr(perm, "contains", counted)
     spec = AvoidanceSpec.both((1, 2, 3, 4))
     per_run = []
-    for run in (lambda: walk_stats(_run_search(5, spec)), lambda: walk_count(5, spec)):
+    for run in (lambda: walk_stats(_run_search(enumeration.Automata(5, spec))), lambda: walk_count(5, spec)):
         calls[0] = 0
         assert run()[0] == 26928
         per_run.append(calls[0])
@@ -295,7 +294,7 @@ def test_one_row_table_per_call(monkeypatch):
         return len(made[0].table)
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    unsplit = entries_built(lambda: walk_stats(_run_search(5, spec)))
+    unsplit = entries_built(lambda: walk_stats(_run_search(enumeration.Automata(5, spec))))
     assert entries_built(lambda: walk_count(5, spec)) == unsplit > 0
     full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC))
     assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
@@ -306,7 +305,7 @@ def test_row_table_budget_keeps_answers(monkeypatch):
     monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
     spec, count, nodes = GOLDEN_5[1]
     automata = enumeration.Automata(5, spec)
-    assert walk_stats(_run_search(5, spec, automata=automata)) == (count, nodes[0])
+    assert walk_stats(_run_search(automata)) == (count, nodes[0])
     assert len(automata.table) == 50
 
 
@@ -341,6 +340,17 @@ def test_symbol_dead_first_rows_start_no_pool(monkeypatch):
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
     spec = AvoidanceSpec(symbol_patterns=((1, 2),))
     assert list(render_squares(4, spec, repr, jobs=2)) == []
+
+
+def test_fill_row_steps_symbol_lines_at_the_root():
+    # symbol lines are stepped inside fill_row: at order 4 only 4321 avoids
+    # 12, so every symbol line must start in the last column and no first
+    # row survives, though its 64 placements are counted as with no spec
+    a = enumeration.Automata(4, AvoidanceSpec(symbol_patterns=((1, 2),)))
+    assert fill_row(a, a.root) == [64]
+    a = enumeration.Automata(5, ROWS_132_SYMBOLS_123)
+    found = fill_row(a, a.root)
+    assert (found[0], len(found) - 1) == (165, 42)
 
 
 def test_worker_count_is_clamped_to_tasks_and_cpus():
@@ -401,7 +411,7 @@ def test_partition_first_row():
     # subtree holds 576/24 = 24 squares
     tasks = partition_tasks(4, EMPTY_SPEC, 4)
     assert len(tasks) == 24
-    per_task = [len(enumerate_with_first_row(4, t.prefix)) for t in tasks]
+    per_task = [len(enumerate_with_first_row(4, t)) for t in tasks]
     assert per_task == [24] * 24
     assert sum(per_task) == 576
 
@@ -409,13 +419,13 @@ def test_partition_first_row():
 @pytest.mark.parametrize("depth", [4])
 def test_partition_counts_sum(depth):
     spec = AvoidanceSpec.columns_only((1, 2, 3))
-    per_task = [len(enumerate_with_first_row(4, t.prefix, spec)) for t in partition_tasks(4, spec, depth)]
+    per_task = [len(enumerate_with_first_row(4, t, spec)) for t in partition_tasks(4, spec, depth)]
     assert sum(per_task) == count_squares(4, spec).count == walk_count(4, spec)[0] == 24
 
 
 def test_partition_prefixes_consistent():
     # the first rows that avoid 123, each a permutation, in increasing order
-    prefixes = [t.prefix for t in partition_tasks(3, AvoidanceSpec.both((1, 2, 3)), 3)]
+    prefixes = partition_tasks(3, AvoidanceSpec.both((1, 2, 3)), 3)
     assert prefixes == [p for p in perms(3) if p != (1, 2, 3)]
 
 
