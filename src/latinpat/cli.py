@@ -294,7 +294,7 @@ class _SquareLines(dict):
     """
     Renders a grid as its enumerate line, json.dumps(square_to_json(sq),
     sort_keys=True) and a newline, from one JSON string per distinct row,
-    made on first lookup and kept in this dict.  Picklable, so a pool
+    made on first lookup and kept in this dict.  Picklable, so a worker
     process renders its own tasks' lines and keeps its copy of the cache
     across them.
     """

@@ -45,23 +45,22 @@ render_squares and the Wilf filter are set up by _pooled_scan: a task is
 a first row, as a tuple, that the root's fill_row lets through, whatever
 the worker count.  A task walks the squares with that first row, and its
 nodes are the ones below it, so the first row's search plus every task's
-nodes give the unsplit walk's.  A task's worker
-yields its results in pieces, and merging them in task order keeps every
-output the same for any worker count.
-The automata and the row table are built once per call and shared by all
-of that call's tasks.  A pool process gets the call's worker, and with it
-the table, once when it starts; the table then grows across every task
-that process runs.
+nodes give the unsplit walk's.  map_tasks runs the tasks, in worker
+processes when jobs > 1, each of which streams its tasks' pieces down its
+own pipe, and yields the pieces in task order, so every output is the same
+for any worker count.  The automata and the row table are built once per
+call; a worker process gets them once and grows the table across its tasks.
 """
 from __future__ import annotations
 
 import os
+import socket
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from multiprocessing import Pipe, Process, Value
+from multiprocessing.connection import wait
 from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
 from .perm import DEAD, PrefixAutomaton, as_perm, prefix_automaton
@@ -408,51 +407,87 @@ def _worker_count(jobs: int, num_tasks: int) -> int:
     return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
 
 
-#: the worker of this pool process, set once by _install_worker when the
-#: process starts; unset in any process that is not a pool worker
-_pool_worker: Callable | None = None
+def _stream_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], next_task, conn) -> None:
+    # one worker process of map_tasks: while a task is left, take the next
+    # index off the shared counter and send it, each piece, then None; once
+    # none is left, send None.  An exception is sent as itself.
+    try:
+        while True:
+            with next_task.get_lock():
+                t = next_task.value
+                next_task.value = t + 1
+            if t >= len(tasks):
+                return conn.send(None)
+            conn.send(t)
+            for piece in worker(tasks[t]):
+                conn.send(piece)
+            conn.send(None)
+    except Exception as exc:
+        conn.send(exc)
 
 
-def _install_worker(worker: Callable[[T], Iterable[R]]) -> None:
-    global _pool_worker
-    _pool_worker = worker
-
-
-def _run_chunk(chunk: list[T]) -> list[R]:
-    return [piece for task in chunk for piece in _pool_worker(task)]
+def _receive(proc: Process, conn):
+    # the next message from a worker process; its exception or death is raised
+    try:
+        message = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"worker process exited with code {proc.exitcode}") from None
+    if isinstance(message, Exception):
+        raise message
+    return message
 
 
 def map_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], jobs: int) -> Iterator[R]:
     """
-    Yield the pieces worker(task) yields for every task, in task order,
-    whatever the worker count.  One worker runs the tasks in this process
-    and passes each piece on as soon as it is made; more run them in a
-    process pool, in chunks, each chunk's pieces returned as one list, with
-    a bounded number of chunks in flight so results never pile up ahead of
-    a slow consumer.  Each pool process receives worker once, when it
-    starts, and chunks carry only their tasks, so state the worker holds
-    (such as a call's row table) lives on in its process across chunks.
-    Closing the iterator early cancels the queued chunks.
+    Yield the pieces worker(task) yields for every task, in task order, at
+    any worker count; no piece may be None or an exception.  One worker runs
+    here.  More are processes that each keep one copy of worker (and its
+    state, such as a call's row table), take the next task whenever they
+    finish one, and stream each piece down their own pipe, whose send
+    blocks while it is full.  A worker's exception is raised here, a dead
+    worker's exit code is named in a RuntimeError, and every worker is
+    ended and reaped on any exit.
     """
-    total = len(tasks)
-    workers = _worker_count(jobs, total)
+    workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         for task in tasks:
             yield from worker(task)
         return
-    size = max(1, total // (workers * 4))
-    chunks = (list(tasks[i:i + size]) for i in range(0, total, size))
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_worker, initargs=(worker,))
+    running = []  # (process, this end of its pipe) for each worker
+    next_task = Value("i", 0)
     try:
-        in_flight = deque(pool.submit(_run_chunk, c) for c in islice(chunks, 2 * workers))
-        while in_flight:
-            results = in_flight.popleft().result()
-            chunk = next(chunks, None)
-            if chunk is not None:
-                in_flight.append(pool.submit(_run_chunk, chunk))
-            yield from results
+        for _ in range(workers):
+            # Pipe() is a socket pair on POSIX.  Asking for a 4 MB send buffer
+            # in place of about 200 KB (Linux caps the request at
+            # net.core.wmem_max, then doubles it) lets a worker run dozens of
+            # order-5 tasks or a few order-6 pieces ahead of the reader, so a
+            # brief stall of one worker does not stop the others
+            conn, child_end = Pipe()
+            with socket.fromfd(child_end.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4 << 20)
+            proc = Process(target=_stream_tasks, args=(worker, tasks, next_task, child_end), daemon=True)
+            proc.start()
+            running.append((proc, conn))
+            # no other process holds the child's end, so its death reads as EOF
+            child_end.close()
+        idle = {conn: proc for proc, conn in running}  # next message: a task's index
+        owner = {}  # task -> (process, pipe end), once its index is read
+        for t in range(len(tasks)):
+            # every task below t is read, so a worker has taken t or is about to
+            while t not in owner:
+                for conn in wait(list(idle)):
+                    proc = idle.pop(conn)
+                    # a worker with no task left sends None, which no t looks up
+                    owner[_receive(proc, conn)] = proc, conn
+            proc, conn = owner.pop(t)
+            while (piece := _receive(proc, conn)) is not None:
+                yield piece
+            idle[conn] = proc
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for proc, _ in running:
+            proc.terminate()
+            proc.join()
 
 
 def _first_row_tasks(auto: Automata) -> list[tuple[int, ...]]:
@@ -544,11 +579,10 @@ def render_squares(
     Yield the satisfying squares as text, in lexicographic order: pieces
     that each join render(grid) over at most RENDER_PIECE_SQUARES squares
     of one first-row task, in task order, at any jobs.  render runs where
-    the task runs, in a pool process when jobs > 1, so the caller receives
-    a few strings per task instead of every grid, and no piece holds a
-    whole order-6 task.  render must be picklable, and a pool process keeps
-    its copy, with anything it caches, across all of its tasks.  Closing
-    the iterator early cancels the queued tasks.
+    the task runs, in a worker process when jobs > 1 that keeps its copy,
+    with anything it caches, across its tasks; render must be picklable.
+    No process holds a whole order-6 task, and closing the iterator early
+    terminates the workers.
     """
     check_enumeration_bound(n, spec, max_order)
     return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)

@@ -315,15 +315,6 @@ def parse_rectangle(text: str) -> LatinRectangle:
     return latin_rectangle(_parse_grid(text))
 
 
-def rectangle_to_json(rect: LatinRectangle) -> dict:
-    return {
-        "rows": rect.rows,
-        "cols": rect.cols,
-        "alphabet_bound": rect.alphabet_bound,
-        "grid": [list(row) for row in rect.grid],
-    }
-
-
 def rectangle_from_json(obj: dict) -> LatinRectangle:
     rect = latin_rectangle(_json_grid(obj, "rectangle"), obj.get("alphabet_bound", 0))
     for key, got in (("rows", rect.rows), ("cols", rect.cols)):

@@ -601,9 +601,9 @@ def test_jobs_below_one_is_invalid(capsys, jobs):
 
 def test_lambda_exhaustive_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("lambda --exhaustive started a process pool")
+        raise AssertionError("lambda --exhaustive started a worker process")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(enumeration, "Process", no_pool)
     code, out, _ = run(capsys, "lambda", "--order", "5", "--exhaustive", "--jobs", "2", "--no-cache")
     assert code == 0
     assert json.loads(out)["exact_value"] == 3
@@ -611,9 +611,9 @@ def test_lambda_exhaustive_starts_no_pool(capsys, monkeypatch):
 
 def test_count_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("count started a process pool")
+        raise AssertionError("count started a worker process")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(enumeration, "Process", no_pool)
     code, out, _ = run(capsys, "count", "--order", "5", "--avoid", "1234", "--jobs", "2", "--no-cache")
     assert code == 0
     assert json.loads(out)["count"] == 26928
@@ -634,6 +634,37 @@ def test_enumerate_into_closed_pipe_exits_quietly(jobs):
     assert proc.wait(timeout=120) == 0
     assert err == b""
     assert json.loads(first)["order"] == 5
+
+
+KILLED_WORKER = """
+import os, sys
+import dying
+from latinpat import cli, enumeration
+os.cpu_count = lambda: 2
+enumeration._render_worker = dying.render_worker
+sys.exit(cli.main(["enumerate", "--order", "4", "--jobs", "2"]))
+"""
+
+
+def test_killed_worker_exits_1(tmp_path):
+    # every task but the first kills its worker process once it has sent
+    # the task's index: task 0's lines are written, then task 1's worker is
+    # found dead, an error that names its exit code and never a hang; the
+    # timeout turns a hang into a failure
+    (tmp_path / "dying.py").write_text(
+        "import os, signal\n"
+        "from latinpat.enumeration import _render_worker\n\n"
+        "def render_worker(first_row, automata, render):\n"
+        "    if first_row != (1, 2, 3, 4):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return _render_worker(first_row, automata, render)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tmp_path)])}
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.count(b"\n") == 24
+    assert b"exited with code -9" in proc.stderr
 
 
 def test_json_square_without_grid_is_invalid(tmp_path, capsys):

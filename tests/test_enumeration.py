@@ -1,8 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import threading
+import time
 from functools import partial
+from itertools import repeat
 
 import pytest
 
@@ -333,11 +338,11 @@ def test_render_squares_yields_bounded_pieces(monkeypatch):
 
 def test_symbol_dead_first_rows_start_no_pool(monkeypatch):
     # every first row kills a symbol line of 12, so there are no tasks and
-    # no pool
+    # no worker process
     def no_pool(*args, **kwargs):
-        raise AssertionError("a spec with no tasks started a process pool")
+        raise AssertionError("a spec with no tasks started a worker process")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(enumeration, "Process", no_pool)
     spec = AvoidanceSpec(symbol_patterns=((1, 2),))
     assert list(render_squares(4, spec, repr, jobs=2)) == []
 
@@ -381,7 +386,7 @@ def test_map_tasks_keeps_task_order():
 
 
 class CountingWorker:
-    """Counts its own calls: a copy sent with each chunk restarts at zero."""
+    """Counts its own calls: each worker process has one copy."""
 
     def __init__(self):
         self.calls = 0
@@ -391,15 +396,81 @@ class CountingWorker:
         yield os.getpid(), self.calls
 
 
-def test_map_tasks_installs_the_worker_once_per_process():
-    # 40 tasks on 2 workers go out in chunks of 5; a process that reports
-    # more calls than that kept one worker across chunks
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # _worker_count caps jobs at the CPU count: let jobs=2 start 2 processes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_map_tasks_installs_the_worker_once_per_process(two_cpus):
+    # each worker process keeps one copy of the worker across the tasks it
+    # takes, so in task order its calls count 1, 2, ...; which process takes
+    # which task depends on timing, so only the counts are checked
     results = list(map_tasks(CountingWorker(), list(range(40)), 2))
-    most = {}
+    by_pid = {}
     for pid, calls in results:
-        most[pid] = max(most.get(pid, 0), calls)
-    assert sum(most.values()) == 40
-    assert max(most.values()) > 5
+        by_pid.setdefault(pid, []).append(calls)
+    assert len(results) == 40
+    assert 1 <= len(by_pid) <= 2 and os.getpid() not in by_pid
+    assert all(calls == list(range(1, len(calls) + 1)) for calls in by_pid.values())
+
+
+def _slow_task_zero(task: int):
+    if task == 0:
+        time.sleep(1)
+    yield task, os.getpid()
+
+
+def test_map_tasks_gives_the_next_task_to_a_free_worker(two_cpus):
+    # while one process sleeps on task 0, the other takes every later task
+    # instead of waiting for its turn; the pieces still come in task order
+    results = list(map_tasks(_slow_task_zero, list(range(10)), 2))
+    assert [task for task, _ in results] == list(range(10))
+    slow = results[0][1]
+    assert all(pid != slow for _, pid in results[1:])
+
+
+def _fail_on_five(task: int):
+    if task == 5:
+        raise ValueError("task 5 failed")
+    yield task
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_tasks_raises_a_worker_exception_in_task_order(two_cpus, jobs):
+    got = []
+    with pytest.raises(ValueError, match="^task 5 failed$"):
+        for piece in map_tasks(_fail_on_five, list(range(10)), jobs):
+            got.append(piece)
+    assert got == [0, 1, 2, 3, 4]
+    assert multiprocessing.active_children() == []
+
+
+def _endless(task: int):
+    yield from repeat(task)
+
+
+def test_map_tasks_closed_early_leaves_no_child(two_cpus):
+    # both workers block on a full pipe; closing the iterator ends them
+    pieces = map_tasks(_endless, [0, 1, 2, 3], 2)
+    assert [next(pieces) for _ in range(3)] == [0, 0, 0]
+    closer = threading.Thread(target=pieces.close, daemon=True)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+def test_render_worker_survives_pickling():
+    # a spawn or forkserver worker process receives its worker pickled
+    automata = enumeration.Automata(5, ROWS_132_SYMBOLS_123)
+    worker = partial(enumeration._render_worker, automata=automata, render=cli._SquareLines(5))
+    copy = pickle.loads(pickle.dumps(worker))
+    tasks = enumeration._first_row_tasks(automata)
+    assert len(tasks) == 42
+    want = [list(worker(t)) for t in tasks]
+    assert any(want)
+    assert [list(copy(t)) for t in tasks] == want
 
 
 # ---------------------------------------------------------------------------
