@@ -3,8 +3,9 @@ Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the library's fast paths: containment checks
 every subsequence, monotone length checks every subset, counting filters
-a full enumeration, the monotone minimax scores every square built from
-permutations row by row, and the cache lookup parses every line of the file.
+a full enumeration, the monotone minimax and the triple-containment check
+test every square built from permutations row by row, and the cache lookup
+parses every line of the file.
 Tests compare the production code against these.
 """
 import itertools
@@ -51,12 +52,26 @@ def naive_longest_monotone(seq):
     return 0
 
 
+def naive_squares(n):
+    """Every order-n square as a tuple of rows, built row by row from permutations, lexicographic."""
+    rows = list(itertools.permutations(range(1, n + 1)))
+
+    def extend(grid):
+        if len(grid) == n:
+            yield tuple(grid)
+            return
+        for row in rows:
+            if all(r[j] != row[j] for r in grid for j in range(n)):
+                yield from extend(grid + [row])
+
+    return extend([])
+
+
 def naive_minimax(n):
     """
     (least max line-monotone length, lexicographically first square attaining
     it) over all order-n squares, built row by row from permutations.
     """
-    rows = list(itertools.permutations(range(1, n + 1)))
     memo = {}
 
     def score(line):
@@ -65,19 +80,38 @@ def naive_minimax(n):
         return memo[line]
 
     best = [None, None]
-
-    def extend(grid):
-        if len(grid) == n:
-            value = max(score(line) for line in grid + list(zip(*grid)))
-            if best[0] is None or value < best[0]:
-                best[:] = [value, tuple(grid)]
-            return
-        for row in rows:
-            if all(r[j] != row[j] for r in grid for j in range(n)):
-                extend(grid + [row])
-
-    extend([])
+    for grid in naive_squares(n):
+        value = max(score(line) for line in grid + tuple(zip(*grid)))
+        if best[0] is None or value < best[0]:
+            best[:] = [value, grid]
     return best[0], best[1]
+
+
+def naive_triple_containment(n):
+    """
+    verify_triple_containment's report from every order-n square, with each
+    line's patterns found by naive_contains: at most five splits, each a
+    square and its 0/1 flags for one triple, square by square.
+    """
+    triples = (((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3), (3, 2, 1)))
+    squares = 0
+    bad = []
+    for grid in naive_squares(n):
+        squares += 1
+        lines = grid + tuple(zip(*grid))
+        for triple in triples:
+            flags = [int(any(naive_contains(line, p) for line in lines)) for p in triple]
+            if 0 < sum(flags) < 3 and len(bad) < 5:
+                bad.append({"grid": [list(r) for r in grid], "flags": flags})
+    return {"order": n, "squares": squares, "violations": bad, "ok": not bad}
+
+
+def naive_length3_avoiders(n):
+    """The order-n squares avoiding some length-3 pattern in every row and column, lexicographic."""
+    return [
+        grid for grid in naive_squares(n)
+        if any(not any(naive_contains(line, p) for line in grid + tuple(zip(*grid))) for p in perms(3))
+    ]
 
 
 def naive_cache_lookup(path, key):

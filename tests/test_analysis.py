@@ -18,11 +18,11 @@ from latinpat.analysis import (
 )
 from latinpat.cli import main
 from latinpat.construct import connolly_square
-from latinpat.enumeration import FeasibilityError
+from latinpat.enumeration import FeasibilityError, count_reduced_squares
 from latinpat.perm import longest_monotone
 from latinpat.square import latin_square, max_monotone
 
-from conftest import naive_minimax
+from conftest import S3, naive_contains, naive_length3_avoiders, naive_minimax, naive_triple_containment
 
 
 def brute_lower_bound(n):
@@ -287,6 +287,40 @@ def test_triple_containment_reports_a_split_triple(monkeypatch):
     assert report["squares"] == 12 and not report["ok"]
     assert [v["flags"] for v in report["violations"]] == [[1, 0, 0], [1, 0, 0]] * 2 + [[1, 0, 0]]
     assert report["violations"][0]["grid"] == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_triple_containment_matches_naive_oracle(n):
+    assert verify_triple_containment(n) == naive_triple_containment(n)
+
+
+def test_triple_containment_counts_all_order5_squares():
+    # the total comes from the sweep; check it against the reduced-square search
+    report = verify_triple_containment(5)
+    assert report["squares"] == 120 * 24 * count_reduced_squares(5)
+    assert report["ok"] and report["violations"] == []
+
+
+def test_triple_containment_tests_candidates_in_order_once(monkeypatch):
+    # fake a line mask holding 123 and 321 alone: every square then splits
+    # both triples, so the report shows which squares were tested, in what
+    # order, and how often
+    bit_of = analysis._pattern_bits(3)
+    mask = (1 << bit_of[(1, 2, 3)]) | (1 << bit_of[(3, 2, 1)])
+    monkeypatch.setattr(analysis, "_grid_mask", lambda g, k, bits, cache: mask)
+    candidates = naive_length3_avoiders(4)
+    assert len(candidates) == 8
+    # the first candidates avoid several patterns each, so a union without
+    # dedupe would list them more than once per triple
+    assert all(
+        sum(not any(naive_contains(line, p) for line in g + tuple(zip(*g))) for p in S3) > 1
+        for g in candidates[:3]
+    )
+    report = verify_triple_containment(4)
+    assert report["squares"] == 576 and not report["ok"]
+    grids = [tuple(map(tuple, v["grid"])) for v in report["violations"]]
+    assert grids == [candidates[0]] * 2 + [candidates[1]] * 2 + [candidates[2]]
+    assert [v["flags"] for v in report["violations"]] == [[1, 0, 0], [0, 0, 1]] * 2 + [[1, 0, 0]]
 
 
 def test_cyclic_structure():
