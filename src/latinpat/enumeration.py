@@ -1,15 +1,16 @@
 """
 Exhaustive search of Latin squares with online pattern-avoidance pruning.
 
-Row and column patterns are compiled once per call into prefix automata
-(perm.prefix_automaton): each row and each column keeps one automaton
-state, and a placement costs one table lookup per line.  A line's state
-goes DEAD as soon as its prefix contains a pattern or can no longer be
-completed to an avoiding permutation of 1..n, and nothing below a dead
-prefix is searched.  A side with no patterns gets a one-state automaton
-that takes every symbol.  Symbol lines (row index -> column of the symbol)
-keep one state per symbol too: placing a row appends one column to every
-symbol's line.
+Each distinct set of line patterns is compiled once per call into a prefix
+automaton (perm.prefix_automaton), which tests a prefix only for the
+occurrences that end at its new entry; sides with the same set share it.
+Each row and each column keeps one automaton state, and a placement costs
+one table lookup per line.  A line's state goes DEAD as soon as its prefix
+contains a pattern or can no longer be completed to an avoiding
+permutation of 1..n, and nothing below a dead prefix is searched.  A side
+with no patterns gets a one-state automaton that takes every symbol.
+Symbol lines (row index -> column of the symbol) keep one state per symbol
+too: placing a row appends one column to every symbol's line.
 
 The grid is filled a whole row at a time.  The search state after a row
 is one int, the key: every column's free symbols and automaton state,
@@ -54,13 +55,10 @@ call; a worker process gets them once and grows the table across its tasks.
 from __future__ import annotations
 
 import os
-import socket
 import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from multiprocessing import Pipe, Process, Value
-from multiprocessing.connection import wait
 from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
 from .perm import DEAD, PrefixAutomaton, as_perm, prefix_automaton
@@ -190,7 +188,10 @@ class Automata:
     One call's compiled search, shared by all of its first-row tasks: the
     row, column and symbol prefix automata of the spec, and the row table.
 
-    A row or column side with no pattern of length at most n gets
+    Each side's automaton accepts the prefixes that avoid its patterns of
+    length at most n.  Each distinct set of those is compiled once, so
+    sides with the same set share one automaton (row is col for a both()
+    spec).  A row or column side with no such pattern gets
     _free_automaton(n); a symbol side with none gets None.  A key, the
     search state between rows, packs every column's free-symbol mask and
     automaton state, width bits per column, into its low col_bits bits,
@@ -207,11 +208,14 @@ class Automata:
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec):
-        compiled = []
+        compiled: dict[tuple, PrefixAutomaton] = {}
+        sides = []
         for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
-            short = [p for p in patterns if len(p) <= n]
-            compiled.append(prefix_automaton(n, short) if short else None)
-        row, col, self.sym = compiled
+            short = tuple(p for p in patterns if len(p) <= n)
+            if short and short not in compiled:
+                compiled[short] = prefix_automaton(n, short)
+            sides.append(compiled.get(short))
+        row, col, self.sym = sides
         self.n = n
         self.row = row or _free_automaton(n)
         self.col = col or _free_automaton(n)
@@ -426,7 +430,7 @@ def _stream_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], next_t
         conn.send(exc)
 
 
-def _receive(proc: Process, conn):
+def _receive(proc, conn):
     # the next message from a worker process; its exception or death is raised
     try:
         message = conn.recv()
@@ -454,6 +458,11 @@ def map_tasks(worker: Callable[[T], Iterable[R]], tasks: Sequence[T], jobs: int)
         for task in tasks:
             yield from worker(task)
         return
+    # imported here, where workers start, so a run that starts none skips them
+    import socket
+    from multiprocessing import Pipe, Process, Value
+    from multiprocessing.connection import wait
+
     running = []  # (process, this end of its pipe) for each worker
     next_task = Value("i", 0)
     try:

@@ -122,6 +122,44 @@ def find_occurrence(host: Sequence[int], pattern: Sequence[int]) -> tuple[int, .
     return tuple(p + 1 for p in chosen) if extend(0, 0) else None
 
 
+def _ends_at_last(host: Sequence[int], pattern: Sequence[int]) -> bool:
+    """
+    True iff some occurrence of pattern in host matches its last entry to
+    host's last position: find_occurrence's positional search with that
+    entry pinned, and each earlier entry on the same side of host's last
+    value as it is of the pattern's last.  A prefix whose parent avoids the
+    pattern contains it iff this holds.
+    """
+    m, k = len(host), len(pattern)
+    if k > m:
+        return False
+    last, top = host[-1], pattern[-1]
+    # chosen[t] = host position matched to pattern[t], for t < k - 1
+    chosen: list[int] = []
+
+    def extend(t: int, start: int) -> bool:
+        if t == k - 1:
+            return True
+        below = pattern[t] < top
+        for pos in range(start, m - (k - t) + 1):
+            v = host[pos]
+            if (v < last) != below:
+                continue
+            ok = True
+            for s in range(t):
+                if (host[chosen[s]] < v) != (pattern[s] < pattern[t]):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(pos)
+                if extend(t + 1, pos + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0, 0)
+
+
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     True iff some subsequence of host is order isomorphic to pattern.
@@ -183,7 +221,9 @@ def prefix_automaton(n: int, patterns: Iterable[Sequence[int]]) -> PrefixAutomat
     Compile the prefixes of the permutations of 1..n that avoid every
     pattern, by one depth-first pass over the distinct-symbol prefixes that
     avoid them.  A prefix lives iff it avoids the patterns and one of its
-    extensions lives; a full-length prefix that avoids them lives.
+    extensions lives; a full-length prefix that avoids them lives.  The pass
+    reaches a prefix only through its parent, which avoids every pattern, so
+    only the occurrences that end at the new last entry are tested.
     """
     patterns = [tuple(p) for p in patterns]
     dead_row = (DEAD,) * (n + 1)
@@ -191,7 +231,7 @@ def prefix_automaton(n: int, patterns: Iterable[Sequence[int]]) -> PrefixAutomat
     ids: dict[tuple[int, ...], int] = {}
 
     def state(prefix: tuple[int, ...]) -> int:
-        if any(len(p) <= len(prefix) and contains(prefix, p) for p in patterns):
+        if any(_ends_at_last(prefix, p) for p in patterns):
             return DEAD
         if len(prefix) == n:
             return 1

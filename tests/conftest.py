@@ -2,7 +2,8 @@
 Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the library's fast paths: containment checks
-every subsequence, monotone length checks every subset, counting filters
+every subsequence, monotone length checks every subset, the reference
+compile runs a whole containment test on every prefix, counting filters
 a full enumeration, the monotone minimax and the triple-containment check
 test every square built from permutations row by row, and the cache lookup
 parses every line of the file.
@@ -14,7 +15,7 @@ import json
 import pytest
 
 from latinpat import enumeration
-from latinpat.perm import pattern_of
+from latinpat.perm import DEAD, PrefixAutomaton, contains, pattern_of
 from latinpat.square import EMPTY_SPEC
 
 
@@ -37,6 +38,42 @@ def naive_first_occurrence(host, pattern):
         if pattern_of([host[i] for i in idx]) == pattern:
             return tuple(i + 1 for i in idx)
     return None
+
+
+def reference_prefix_automaton(n, patterns):
+    """
+    perm.prefix_automaton's pass with a whole perm.contains test on every
+    prefix, where the library tests only the occurrences that end at the
+    prefix's new entry; the library's automaton must equal this one.
+    """
+    patterns = [tuple(p) for p in patterns]
+    dead_row = (DEAD,) * (n + 1)
+    rows = [dead_row, dead_row]  # DEAD, then the state of a complete avoider
+    ids: dict[tuple[int, ...], int] = {}
+
+    def state(prefix: tuple[int, ...]) -> int:
+        if any(len(p) <= len(prefix) and contains(prefix, p) for p in patterns):
+            return DEAD
+        if len(prefix) == n:
+            return 1
+        row = (DEAD,) + tuple(
+            DEAD if s in prefix else state(prefix + (s,)) for s in range(1, n + 1)
+        )
+        if row == dead_row:
+            return DEAD
+        if row not in ids:
+            ids[row] = len(rows)
+            rows.append(row)
+        return ids[row]
+
+    root = state(())
+    live = tuple(sum(1 << (s - 1) for s in range(1, n + 1) if row[s]) for row in rows)
+    return PrefixAutomaton(tuple(rows), live, root)
+
+
+def monotone_pair(m):
+    """lambda's pattern pair at m: (12...(m+1), (m+1)...1)."""
+    return tuple(range(1, m + 2)), tuple(range(m + 1, 0, -1))
 
 
 def naive_longest_monotone(seq):

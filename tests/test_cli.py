@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latinpat import cli, enumeration
+from latinpat import cli
 from latinpat.cli import main
 from latinpat.construct import connolly_square
 from latinpat.enumeration import count_squares, enumerate_squares
@@ -603,7 +604,7 @@ def test_lambda_exhaustive_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("lambda --exhaustive started a worker process")
 
-    monkeypatch.setattr(enumeration, "Process", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     code, out, _ = run(capsys, "lambda", "--order", "5", "--exhaustive", "--jobs", "2", "--no-cache")
     assert code == 0
     assert json.loads(out)["exact_value"] == 3
@@ -613,10 +614,20 @@ def test_count_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("count started a worker process")
 
-    monkeypatch.setattr(enumeration, "Process", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     code, out, _ = run(capsys, "count", "--order", "5", "--avoid", "1234", "--jobs", "2", "--no-cache")
     assert code == 0
     assert json.loads(out)["count"] == 26928
+
+
+def test_cli_import_loads_no_process_modules():
+    # map_tasks imports multiprocessing and socket where it starts workers,
+    # so a run that starts none does not load them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, latinpat.cli; print(sorted({'multiprocessing', 'socket'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -11,7 +11,7 @@ from itertools import repeat
 
 import pytest
 
-from latinpat import analysis, cli, construct, enumeration, perm
+from latinpat import analysis, cli, construct, enumeration
 from latinpat.cli import main
 from latinpat.enumeration import (
     FeasibilityError,
@@ -260,24 +260,37 @@ def test_golden_partition_prefixes():
         assert hashlib.sha256(json.dumps(prefixes).encode()).hexdigest() == digest
 
 
-def test_split_shares_checker_caches(monkeypatch):
-    # the first-row tasks of one call share its checkers, so splitting makes
-    # no more containment checks than the unsplit walk
+def test_each_distinct_line_set_compiles_once(monkeypatch):
+    # Automata compiles each distinct set of patterns of length <= n once,
+    # and the first-row tasks of one call share it, so splitting compiles
+    # no more than the unsplit walk
     calls = [0]
-    contains = perm.contains
+    compile_ = enumeration.prefix_automaton
 
-    def counted(host, pattern):
+    def counted(n, patterns):
         calls[0] += 1
-        return contains(host, pattern)
+        return compile_(n, patterns)
 
-    monkeypatch.setattr(perm, "contains", counted)
-    spec = AvoidanceSpec.both((1, 2, 3, 4))
-    per_run = []
-    for run in (lambda: walk_stats(_run_search(enumeration.Automata(5, spec))), lambda: walk_count(5, spec)):
+    monkeypatch.setattr(enumeration, "prefix_automaton", counted)
+
+    def compiles(run):
         calls[0] = 0
-        assert run()[0] == 26928
-        per_run.append(calls[0])
-    assert per_run[0] == per_run[1] > 0
+        run()
+        return calls[0]
+
+    spec = AvoidanceSpec.both((1, 2, 3, 4))
+    assert compiles(lambda: walk_stats(_run_search(enumeration.Automata(5, spec)))) == 1
+    assert compiles(lambda: walk_count(5, spec)) == 1
+    auto = enumeration.Automata(5, spec)
+    assert auto.row is auto.col
+    rows_132_cols_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), col_patterns=((1, 2, 3),))
+    assert compiles(lambda: enumeration.Automata(5, rows_132_cols_123)) == 2
+    p = (1, 3, 2)
+    every_family = AvoidanceSpec(row_patterns=(p,), col_patterns=(p,), symbol_patterns=(p,))
+    assert compiles(lambda: enumeration.Automata(5, every_family)) == 1
+    # 12345 is longer than the order, so both sides are the set {123}
+    long_row = AvoidanceSpec(row_patterns=((1, 2, 3), (1, 2, 3, 4, 5)), col_patterns=((1, 2, 3),))
+    assert compiles(lambda: enumeration.Automata(4, long_row)) == 1
 
 
 def test_one_row_table_per_call(monkeypatch):
@@ -342,7 +355,7 @@ def test_symbol_dead_first_rows_start_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a spec with no tasks started a worker process")
 
-    monkeypatch.setattr(enumeration, "Process", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     spec = AvoidanceSpec(symbol_patterns=((1, 2),))
     assert list(render_squares(4, spec, repr, jobs=2)) == []
 

@@ -14,7 +14,7 @@ from latinpat.enumeration import count_squares, enumerate_squares, render_square
 from latinpat.perm import DEAD, prefix_automaton
 from latinpat.square import EMPTY_SPEC, AvoidanceSpec
 
-from conftest import S3, S4, naive_contains, perms
+from conftest import S3, S4, monotone_pair, naive_contains, perms, reference_prefix_automaton
 
 PATTERN_SETS = [(p,) for p in S3 + S4] + list(itertools.combinations(S3, 2))
 
@@ -33,6 +33,20 @@ def test_prefix_state_is_alive_iff_some_avoider_extends_it(patterns):
             assert auto.live[state] == sum(1 << (s - 1) for s in range(1, n + 1) if row[s] != DEAD)
         # a repeated symbol is never alive
         assert all(auto.run((s, s)) == DEAD for s in range(1, n + 1))
+
+
+@pytest.mark.parametrize("patterns", PATTERN_SETS)
+def test_prefix_automaton_equals_reference_compile(patterns):
+    for n in range(1, 7):
+        assert prefix_automaton(n, patterns) == reference_prefix_automaton(n, patterns), n
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_monotone_pair_automaton_equals_reference_compile(m):
+    # the pattern pairs lambda's search compiles
+    patterns = monotone_pair(m)
+    for n in range(1, 8):
+        assert prefix_automaton(n, patterns) == reference_prefix_automaton(n, patterns), n
 
 
 # every pattern the cross-checks use, one bit each
