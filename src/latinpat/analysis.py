@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
 from math import isqrt
-from typing import Iterator, Sequence
+from operator import and_
+from typing import Sequence
 
 from . import perm
 from .construct import connolly_square
 from .enumeration import (
     Automata,
     FeasibilityError,
-    _pooled_scan,
     _run_search,
     count_column_avoiders,
     count_squares,
@@ -247,6 +246,14 @@ def _pattern_bits(k: int) -> dict[Perm, int]:
     return {p: i for i, p in enumerate(itertools.permutations(range(1, k + 1)))}
 
 
+def _line_mask(line: tuple[int, ...], k: int, bit_of: dict[Perm, int]) -> int:
+    """Bitmask (bits from bit_of) of the length-k patterns the line contains, by pattern_of over every k-subset."""
+    m = 0
+    for idx in itertools.combinations(range(len(line)), k):
+        m |= 1 << bit_of[perm.pattern_of([line[i] for i in idx])]
+    return m
+
+
 def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
     """Bitmask (bits from bit_of) of the length-k patterns some row or column of g contains."""
     m = 0
@@ -254,18 +261,72 @@ def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
         for line in lines:
             lm = cache.get(line)
             if lm is None:
-                lm = 0
-                for idx in itertools.combinations(range(len(line)), k):
-                    lm |= 1 << bit_of[perm.pattern_of([line[i] for i in idx])]
-                cache[line] = lm
+                lm = cache[line] = _line_mask(line, k, bit_of)
             m |= lm
     return m
 
 
-def _wilf_worker(first_row: tuple[int, ...], k: int, cache: dict, automata: Automata) -> Iterator[Counter]:
+def _avoiding_orders(line: tuple[int, ...], orders: list[tuple[int, ...]], masks: dict, num: int) -> tuple[int, ...]:
+    """
+    For each of the num pattern bits b, the orders (bit t for orders[t])
+    that leave the line avoiding pattern b, where the line in order t is
+    line[orders[t][0]], line[orders[t][1]], ...; masks holds the pattern
+    bits of each rearranged line.
+    """
+    by_mask: dict[int, int] = {}
+    for t, order in enumerate(orders):
+        m = masks[tuple(map(line.__getitem__, order))]
+        by_mask[m] = by_mask.get(m, 0) | 1 << t
+    avoid = [(1 << len(orders)) - 1] * num
+    for m, ts in by_mask.items():
+        while m:
+            low = m & -m
+            avoid[low.bit_length() - 1] ^= ts
+            m ^= low
+    return tuple(avoid)
+
+
+def _filter_counts(k: int, n: int) -> list[int]:
+    """
+    The number of order-n squares avoiding each length-k pattern (in
+    _pattern_bits order) in every row and column, from the reduced squares
+    (first row and first column 1..n) alone.
+
+    Every square is exactly one reduced square r with rows 1..n-1 put in
+    some order tau, then columns put in some order sigma.  Its rows are
+    r's rows read in the order sigma and its columns are r's columns read
+    in the order tau (row 0 kept first), so for each pattern p the squares
+    avoiding it from r number alpha_p(r) * beta_p(r): alpha_p counts the
+    sigma that leave every row of r avoiding p, and beta_p the tau that
+    leave every column avoiding p.  Each count is the popcount of an AND
+    over r's lines of _avoiding_orders bitsets.  The reduced squares come
+    from the row walk's first-row task of 1..n, read only as far as its
+    squares whose second row starts with 2, which the walk's lexicographic
+    order puts first; each line's patterns come from pattern_of, so the
+    filter shares nothing with the prefix automata or the sweep.
+    """
     bit_of = _pattern_bits(k)
-    grids = _run_search(automata, first_row)
-    yield Counter(_grid_mask(g, k, bit_of, cache) for g in grids)
+    lines = list(itertools.permutations(range(1, n + 1)))
+    masks = {line: _line_mask(line, k, bit_of) for line in lines}
+    ident = lines[0]
+    task = _run_search(Automata(n, EMPTY_SPEC), ident)
+    reduced = [
+        g for g in itertools.takewhile(lambda g: n == 1 or g[1][0] == 2, task)
+        if tuple(row[0] for row in g) == ident
+    ]
+    column_orders = [tuple(s - 1 for s in line) for line in lines]
+    row_orders = [(0,) + t for t in itertools.permutations(range(1, n))]
+    num = len(bit_of)
+    rows = {x for g in reduced for x in g}
+    cols = {x for g in reduced for x in zip(*g)}
+    row_bits = {x: _avoiding_orders(x, column_orders, masks, num) for x in rows}
+    col_bits = {x: _avoiding_orders(x, row_orders, masks, num) for x in cols}
+    counts = [0] * num
+    for g in reduced:
+        alpha = [reduce(and_, ts).bit_count() for ts in zip(*map(row_bits.__getitem__, g))]
+        beta = [reduce(and_, ts).bit_count() for ts in zip(*map(col_bits.__getitem__, zip(*g)))]
+        counts = [c + a * b for c, a, b in zip(counts, alpha, beta)]
+    return counts
 
 
 def wilf_classes(
@@ -273,16 +334,18 @@ def wilf_classes(
     n: int,
     *,
     mode: str = "filter",
-    jobs: int = 1,
     force: bool = False,
 ) -> WilfReport:
     """
     Count the avoiders of every length-k pattern at order n and group the
     patterns by equal count.
 
-    mode="filter" enumerates the squares once and tests all k! patterns per
-    square; mode="pruned" runs one pruned search per pattern (slower, kept
-    for cross-validation).  Classes are reported largest count first.
+    mode="filter" tests all k! patterns at once on the reduced squares and
+    multiplies out the row and column orders (_filter_counts); at order 5
+    it tests 56 reduced squares in place of 161,280 squares.
+    mode="pruned" runs one pruned count per pattern (slower, kept for
+    cross-validation).  Both run in this process.  Classes are reported
+    largest count first.
     """
     if k < 1 or n < 1:
         raise ValueError("pattern length and order must be >= 1")
@@ -295,20 +358,11 @@ def wilf_classes(
         )
 
     patterns = list(itertools.permutations(range(1, k + 1)))
-    counts: dict[Perm, int] = {}
-
     if mode == "pruned":
-        for p in patterns:
-            counts[p] = count_squares(n, AvoidanceSpec.both(p)).count
+        counts = {p: count_squares(n, AvoidanceSpec.both(p)).count for p in patterns}
     else:
-        # a pattern longer than n leaves its bit clear in every square's
-        # mask, so it gets the full count
-        bit_of = _pattern_bits(k)
-        tally: Counter = Counter()
-        for part in _pooled_scan(n, EMPTY_SPEC, partial(_wilf_worker, k=k, cache={}), jobs):
-            tally.update(part)
-        for p, b in bit_of.items():
-            counts[p] = sum(freq for m, freq in tally.items() if not (m >> b) & 1)
+        # a pattern longer than n is in no line's mask, so it gets the full count
+        counts = dict(zip(patterns, _filter_counts(k, n)))
 
     by_count: dict[int, list[Perm]] = {}
     for p in patterns:

@@ -378,9 +378,7 @@ def _cmd_wilf(args) -> int:
     key = {"op": "wilf", "length": args.length, "order": n, "mode": args.mode}
 
     def compute() -> dict:
-        return analysis.wilf_classes(
-            args.length, n, mode=args.mode, jobs=args.jobs, force=args.force
-        ).to_json()
+        return analysis.wilf_classes(args.length, n, mode=args.mode, force=args.force).to_json()
 
     value = _cached(args, key, compute)
     _emit(value, args.format, analysis.wilf_csv)

@@ -27,9 +27,9 @@ Two engines expand the same keys:
   number of partial squares reaching it, each key is expanded once, and
   the count is the sum of the last layer.
 - The row walk (_run_search) visits every square, for enumerate_squares,
-  render_squares, the Wilf filter and the lambda search.  Its per-call row
-  table keeps each key's rows, decoded, and next keys, so each key's row
-  search runs once.
+  render_squares and the lambda search; the Wilf filter walks part of
+  the first-row task of 1..n.  Its per-call row table keeps each key's
+  rows, decoded, and next keys, so each key's row search runs once.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check, so nodes_explored counts the placements tried below
@@ -42,9 +42,9 @@ Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 The walk is a generator that yields each grid and returns its nodes, so a
 consumer may stop at any square.  enumerate_squares iterates one walk.
-render_squares and the Wilf filter are set up by _pooled_scan: a task is
-a first row, as a tuple, that the root's fill_row lets through, whatever
-the worker count.  A task walks the squares with that first row, and its
+render_squares splits its walk into first-row tasks: a task is a first
+row, as a tuple, that the root's fill_row lets through, whatever the
+worker count.  A task walks the squares with that first row, and its
 nodes are the ones below it, so the first row's search plus every task's
 nodes give the unsplit walk's.  map_tasks runs the tasks, in worker
 processes when jobs > 1, each of which streams its tasks' pieces down its
@@ -525,15 +525,6 @@ def default_split_depth(n: int) -> int:
     return n
 
 
-def _pooled_scan(n: int, spec: AvoidanceSpec, worker: Callable[..., Iterable[R]], jobs: int) -> Iterator[R]:
-    """
-    Run a scan as first-row tasks: build the call's Automata, split at the
-    first row and map worker, given automata=, over the tasks in task order.
-    """
-    automata = Automata(n, spec)
-    return map_tasks(partial(worker, automata=automata), _first_row_tasks(automata), jobs)
-
-
 def count_squares(
     n: int,
     spec: AvoidanceSpec = EMPTY_SPEC,
@@ -594,7 +585,9 @@ def render_squares(
     terminates the workers.
     """
     check_enumeration_bound(n, spec, max_order)
-    return _pooled_scan(n, spec, partial(_render_worker, render=render), jobs)
+    automata = Automata(n, spec)
+    worker = partial(_render_worker, automata=automata, render=render)
+    return map_tasks(worker, _first_row_tasks(automata), jobs)
 
 
 def enumerate_with_first_row(

@@ -4,9 +4,9 @@ Shared fixtures and independent brute-force oracles.
 The oracles deliberately avoid the library's fast paths: containment checks
 every subsequence, monotone length checks every subset, the reference
 compile runs a whole containment test on every prefix, counting filters
-a full enumeration, the monotone minimax and the triple-containment check
-test every square built from permutations row by row, and the cache lookup
-parses every line of the file.
+a full enumeration, the monotone minimax, the Wilf counts and the
+triple-containment check test every square built from permutations row by
+row, and the cache lookup parses every line of the file.
 Tests compare the production code against these.
 """
 import itertools
@@ -149,6 +149,25 @@ def naive_length3_avoiders(n):
         grid for grid in naive_squares(n)
         if any(not any(naive_contains(line, p) for line in grid + tuple(zip(*grid))) for p in perms(3))
     ]
+
+
+def naive_wilf_counts(k, n):
+    """
+    The avoider count of every length-k pattern at order n, by testing each
+    square of naive_squares(n) for the patterns its rows and columns
+    contain, every k-subset of every line read by pattern_of.
+    """
+    counts = dict.fromkeys(perms(k), 0)
+    found_in = {}
+    for grid in naive_squares(n):
+        found = set()
+        for line in grid + tuple(zip(*grid)):
+            if line not in found_in:
+                found_in[line] = {pattern_of([line[i] for i in idx]) for idx in itertools.combinations(range(n), k)}
+            found |= found_in[line]
+        for p in counts:
+            counts[p] += p not in found
+    return counts
 
 
 def naive_cache_lookup(path, key):

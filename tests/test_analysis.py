@@ -22,7 +22,14 @@ from latinpat.enumeration import FeasibilityError, count_reduced_squares
 from latinpat.perm import longest_monotone
 from latinpat.square import latin_square, max_monotone
 
-from conftest import S3, naive_contains, naive_length3_avoiders, naive_minimax, naive_triple_containment
+from conftest import (
+    S3,
+    naive_contains,
+    naive_length3_avoiders,
+    naive_minimax,
+    naive_triple_containment,
+    naive_wilf_counts,
+)
 
 
 def brute_lower_bound(n):
@@ -222,12 +229,26 @@ def test_wilf_filter_matches_pruned():
     p4 = wilf_classes(4, 4, mode="pruned")
     assert f4.counts == p4.counts
     assert set(f4.counts.values()) == {400}
+    f35 = wilf_classes(3, 5, mode="filter")
+    assert f35.counts == wilf_classes(3, 5, mode="pruned").counts
+    assert set(f35.counts.values()) == {5}
+    f45 = wilf_classes(4, 5, mode="filter")
+    assert f45.counts == wilf_classes(4, 5, mode="pruned").counts
+    assert len(f45.classes) == 8
     # patterns longer than the order: the filter scan gives them the full count
     for k, n, total in ((4, 3, 12), (5, 4, 576)):
         f = wilf_classes(k, n, mode="filter", force=True)
         p = wilf_classes(k, n, mode="pruned", force=True)
         assert f.counts == p.counts
         assert set(f.counts.values()) == {total}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_wilf_filter_matches_naive_oracle(k, n):
+    # each pattern's count from every square, against the filter's count
+    # from the reduced squares times their row and column orders
+    assert wilf_classes(k, n, mode="filter", force=True).counts == naive_wilf_counts(k, n)
 
 
 def test_wilf_pattern_longer_than_order():
@@ -258,12 +279,6 @@ def test_wilf_report_serialization():
     assert lines[0] == "pattern,count,class_id"
     assert "123,4,1" in lines
     assert report.class_id((1, 2, 3)) == 1
-
-
-def test_wilf_parallel_matches_serial():
-    serial = wilf_classes(3, 4)
-    parallel = wilf_classes(3, 4, jobs=4)
-    assert serial.counts == parallel.counts
 
 
 # ---------------------------------------------------------------------------

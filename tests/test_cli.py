@@ -620,6 +620,20 @@ def test_count_starts_no_pool(capsys, monkeypatch):
     assert json.loads(out)["count"] == 26928
 
 
+def test_wilf_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("wilf started a worker process")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "wilf", "--length", "4", "--order", "5", "--jobs", jobs, "--no-cache")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["num_classes"] == 8
+
+
 def test_cli_import_loads_no_process_modules():
     # map_tasks imports multiprocessing and socket where it starts workers,
     # so a run that starts none does not load them

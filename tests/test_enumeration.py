@@ -315,7 +315,8 @@ def test_one_row_table_per_call(monkeypatch):
     unsplit = entries_built(lambda: walk_stats(_run_search(enumeration.Automata(5, spec))))
     assert entries_built(lambda: walk_count(5, spec)) == unsplit > 0
     full_scan = entries_built(lambda: walk_count(5, EMPTY_SPEC))
-    assert entries_built(lambda: analysis.wilf_classes(4, 5)) == full_scan > 0
+    # the Wilf filter walks part of one first-row task, so its table is smaller
+    assert 0 < entries_built(lambda: analysis.wilf_classes(4, 5)) < full_scan
 
 
 def test_row_table_budget_keeps_answers(monkeypatch):
