@@ -20,11 +20,13 @@ from typing import Sequence
 from . import perm
 from .construct import connolly_square
 from .enumeration import (
+    REDUCED_SEARCH_BOUND,
     Automata,
     FeasibilityError,
     _run_search,
     count_column_avoiders,
     count_squares,
+    reduced_squares,
 )
 from .perm import Perm
 from .square import (
@@ -40,7 +42,8 @@ from .square import (
 #: largest order for which the full minimax scan is allowed
 LAMBDA_EXHAUSTIVE_BOUND = 5
 
-#: default feasibility box for Wilf-class computation
+#: default feasibility box for Wilf-class computation; filter mode's order
+#: bound is REDUCED_SEARCH_BOUND, the bound of the search it runs
 WILF_MAX_PATTERN_LENGTH = 4
 WILF_MAX_ORDER = 5
 
@@ -300,20 +303,14 @@ def _filter_counts(k: int, n: int) -> list[int]:
     sigma that leave every row of r avoiding p, and beta_p the tau that
     leave every column avoiding p.  Each count is the popcount of an AND
     over r's lines of _avoiding_orders bitsets.  The reduced squares come
-    from the row walk's first-row task of 1..n, read only as far as its
-    squares whose second row starts with 2, which the walk's lexicographic
-    order puts first; each line's patterns come from pattern_of, so the
-    filter shares nothing with the prefix automata or the sweep.
+    from reduced_squares and each line's patterns from pattern_of, so the
+    filter shares nothing with the prefix automata, the row walk or the
+    sweep.
     """
     bit_of = _pattern_bits(k)
     lines = list(itertools.permutations(range(1, n + 1)))
     masks = {line: _line_mask(line, k, bit_of) for line in lines}
-    ident = lines[0]
-    task = _run_search(Automata(n, EMPTY_SPEC), ident)
-    reduced = [
-        g for g in itertools.takewhile(lambda g: n == 1 or g[1][0] == 2, task)
-        if tuple(row[0] for row in g) == ident
-    ]
+    reduced = list(reduced_squares(n))
     column_orders = [tuple(s - 1 for s in line) for line in lines]
     row_orders = [(0,) + t for t in itertools.permutations(range(1, n))]
     num = len(bit_of)
@@ -351,10 +348,11 @@ def wilf_classes(
         raise ValueError("pattern length and order must be >= 1")
     if mode not in ("filter", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not force and (k > WILF_MAX_PATTERN_LENGTH or n > WILF_MAX_ORDER):
+    max_order = WILF_MAX_ORDER if mode == "pruned" else REDUCED_SEARCH_BOUND
+    if not force and (k > WILF_MAX_PATTERN_LENGTH or n > max_order):
         raise FeasibilityError(
-            f"wilf computation at pattern length {k}, order {n} exceeds the default "
-            f"box ({WILF_MAX_PATTERN_LENGTH}, {WILF_MAX_ORDER}); pass force to override"
+            f"{mode} wilf computation at pattern length {k}, order {n} exceeds the default "
+            f"box ({WILF_MAX_PATTERN_LENGTH}, {max_order}); pass force to override"
         )
 
     patterns = list(itertools.permutations(range(1, k + 1)))

@@ -27,9 +27,9 @@ Two engines expand the same keys:
   number of partial squares reaching it, each key is expanded once, and
   the count is the sum of the last layer.
 - The row walk (_run_search) visits every square, for enumerate_squares,
-  render_squares and the lambda search; the Wilf filter walks part of
-  the first-row task of 1..n.  Its per-call row table keeps each key's
-  rows, decoded, and next keys, so each key's row search runs once.
+  render_squares and the lambda search.  Its per-call row table keeps
+  each key's rows, decoded, and next keys, so each key's row search runs
+  once.  reduced_squares, which feeds the Wilf filter, shares neither.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check, so nodes_explored counts the placements tried below
@@ -77,7 +77,8 @@ ENGINE_VERSION = 4
 #: hard default ceiling for enumeration whose spec prunes nothing
 DEFAULT_UNRESTRICTED_BOUND = 6
 
-#: ceiling for the independent reduced-square cross-check search
+#: ceiling for the independent reduced-square count, and the Wilf filter's
+#: default order bound
 REDUCED_SEARCH_BOUND = 6
 
 #: most states one row walk's table stores (a few hundred bytes each);
@@ -609,48 +610,52 @@ def enumerate_with_first_row(
 # independent reduced-square cross-check
 # ---------------------------------------------------------------------------
 
-def count_reduced_squares(n: int) -> int:
+def reduced_squares(n: int) -> Iterator[Grid]:
     """
-    Number of reduced squares (first row and first column in natural order),
-    by a row-at-a-time search that shares no code with the main engine.
-    The identity n! * (n-1)! * R_n recovers the full count.
+    Every reduced square of order n (first row and first column 1..n), in
+    row-major lexicographic order, by a backtracking search that shares no
+    code with the main engine.  Bit s of cols[j] marks symbol s in column j.
+    Rows are filled cell by cell until n-1 are placed; then each column
+    misses one symbol, and those symbols are the last row.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if n == 1:
+        return iter([((1,),)])
+    symbols = [(1 << s, s) for s in range(1, n + 1)]
+    full = (2 << n) - 2
+
+    def rows(i: int, cols: list[int]) -> list[tuple[int, ...]]:
+        found = []
+        row = [i + 1] * n
+
+        def fill(j: int, taken: int) -> None:
+            if j == n:
+                found.append(tuple(row))
+                return
+            free = ~(taken | cols[j])
+            for bit, s in symbols:
+                if free & bit:
+                    row[j] = s
+                    fill(j + 1, taken | bit)
+
+        fill(1, 2 << i)
+        return found
+
+    def extend(grid: Grid, cols: list[int]) -> Iterator[Grid]:
+        if len(grid) == n - 1:
+            yield grid + (tuple((full ^ c).bit_length() - 1 for c in cols),)
+            return
+        for row in rows(len(grid), cols):
+            yield from extend(grid + (row,), [c | 1 << s for c, s in zip(cols, row)])
+
+    return extend((tuple(range(1, n + 1)),), [2 << j for j in range(n)])
+
+
+def count_reduced_squares(n: int) -> int:
+    """Number of reduced squares R_n, from reduced_squares; n! (n-1)! R_n is the full count."""
     if n > REDUCED_SEARCH_BOUND:
         raise FeasibilityError(
             f"reduced-square search at order {n} exceeds the bound {REDUCED_SEARCH_BOUND}"
         )
-    if n == 1:
-        return 1
-
-    col_used = [{j + 1} for j in range(n)]  # first row is 1..n
-
-    def fill_rows(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        row = [0] * n
-        row[0] = i + 1  # first column is 1..n
-        used = {i + 1}
-
-        def fill_cols(j: int) -> None:
-            nonlocal total
-            if j == n:
-                for jj in range(1, n):
-                    col_used[jj].add(row[jj])
-                total += fill_rows(i + 1)
-                for jj in range(1, n):
-                    col_used[jj].remove(row[jj])
-                return
-            for v in range(1, n + 1):
-                if v not in used and v not in col_used[j]:
-                    row[j] = v
-                    used.add(v)
-                    fill_cols(j + 1)
-                    used.remove(v)
-
-        fill_cols(1)
-        return total
-
-    return fill_rows(1)
+    return sum(1 for _ in reduced_squares(n))

@@ -263,10 +263,12 @@ def test_wilf_trivial_pattern():
 
 
 def test_wilf_feasibility_box():
+    # the filter's order bound is the reduced-square search's, pruned's is 5
+    assert wilf_classes(4, 6).counts[(1, 2, 3, 4)] == 4283222
+    with pytest.raises(FeasibilityError):
+        wilf_classes(4, 6, mode="pruned")
     with pytest.raises(FeasibilityError):
         wilf_classes(5, 5)
-    with pytest.raises(FeasibilityError):
-        wilf_classes(4, 6)
 
 
 def test_wilf_report_serialization():

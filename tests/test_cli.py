@@ -254,7 +254,9 @@ def test_wilf_trivial_pattern(capsys):
 
 
 def test_wilf_feasibility(capsys):
-    assert run(capsys, "wilf", "--length", "4", "--order", "6")[0] == 3
+    # order 6 is inside the filter's box and outside pruned's
+    assert run(capsys, "wilf", "--length", "4", "--order", "6", "--mode", "filter")[0] == 0
+    assert run(capsys, "wilf", "--length", "4", "--order", "6", "--mode", "pruned")[0] == 3
 
 
 # ---------------------------------------------------------------------------
