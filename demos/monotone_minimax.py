@@ -13,7 +13,7 @@ from latinpat import (
     connolly_square,
     lambda_bound_report,
     lambda_lower_bound,
-    lambda_witness_cap,
+    max_monotone,
     serialize_square,
 )
 
@@ -30,7 +30,7 @@ for n in (2, 3, 4, 5):
 print("\nthe order-9 modular square:")
 sq = connolly_square(3)
 print(serialize_square(sq))
-print(f"no line has a monotone subsequence longer than {lambda_witness_cap(sq)},")
+print(f"no line has a monotone subsequence longer than {max_monotone(sq)},")
 print("so together with the lower bound the order-9 value is exactly 4.\n")
 
 print("bound reports at perfect squares:")

@@ -17,7 +17,6 @@ from latinpat import (
     latin_rectangle,
     rect_order_isomorphic,
     rotate_rect_90,
-    serialize_rectangle,
     serialize_square,
 )
 
@@ -27,13 +26,13 @@ print(serialize_square(sq))
 
 target = latin_rectangle([[3, 4, 2], [1, 3, 4]])
 print("target rectangle:")
-print(serialize_rectangle(target))
+print(serialize_square(target))
 
 witness = contains_rectangle(sq, target)
 rows, cols = witness
 print(f"found at rows {rows}, columns {cols}:")
 sub = extract_subrectangle(sq, rows, cols)
-print(serialize_rectangle(sub))
+print(serialize_square(sub))
 assert rect_order_isomorphic(sub, target)
 print("which is order isomorphic to the target (6,8,3 / 1,6,8 -> 3,4,2 / 1,3,4).\n")
 
@@ -42,13 +41,9 @@ col_rect = rotate_rect_90(row_rect)
 print("avoiding the 1x3 increasing rectangle and its rotation is the same as")
 print("avoiding 123 in all rows and columns; at order 4 both give 4 squares:")
 
-avoiders = []
-enumerate_squares(4, AvoidanceSpec.both((1, 2, 3)), avoiders.append)
-
-everything = []
-enumerate_squares(4, AvoidanceSpec(), everything.append)
+avoiders = list(enumerate_squares(4, AvoidanceSpec.both((1, 2, 3))))
 rect_avoiders = [
-    s for s in everything
+    s for s in enumerate_squares(4)
     if contains_rectangle(s, row_rect) is None and contains_rectangle(s, col_rect) is None
 ]
 print(f"  pattern route: {len(avoiders)}, rectangle route: {len(rect_avoiders)}")

@@ -13,7 +13,6 @@ from latinpat import (
     AvoidanceSpec,
     all_s3_avoiders,
     complete_columns_avoiding,
-    count_column_avoiders,
     count_squares,
     enumerate_squares,
     serialize_square,
@@ -27,8 +26,7 @@ for n in range(2, 7):
     print(f"  n={n}: {result.count}   ({result.nodes_explored} search nodes)")
 
 print("\nThe four avoiders of order 4, by search:")
-found = []
-enumerate_squares(4, AvoidanceSpec.both(PATTERN), found.append)
+found = list(enumerate_squares(4, AvoidanceSpec.both(PATTERN)))
 for sq in found:
     print(serialize_square(sq))
 
@@ -41,7 +39,7 @@ print("search and construction agree.\n")
 
 print("Columns-only avoidance is counted by first rows: n! squares.")
 for n in (3, 4, 5):
-    print(f"  n={n}: {count_column_avoiders(n, PATTERN).count}")
+    print(f"  n={n}: {count_squares(n, AvoidanceSpec.columns_only(PATTERN)).count}")
 
 print("\nEach first row completes uniquely; for example 3 1 4 2:")
 print(serialize_square(complete_columns_avoiding((3, 1, 4, 2), PATTERN)))

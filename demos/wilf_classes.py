@@ -12,6 +12,7 @@ natural order), each multiplied out over its row and column orders: 56
 reduced squares stand for all 161280 at order 5.
 """
 from latinpat import wilf_classes
+from latinpat.analysis import wilf_csv
 
 print("length 3 at order 4: one class")
 report = wilf_classes(3, 4)
@@ -28,4 +29,4 @@ report = wilf_classes(4, 5)
 for count, members in report.classes:
     print(f"  count {count}: {', '.join(''.join(map(str, p)) for p in members)}")
 print("\nCSV form:")
-print(report.to_csv())
+print(wilf_csv(report.to_json()))

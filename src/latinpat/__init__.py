@@ -17,7 +17,6 @@ from .analysis import (
     full_length_count,
     lambda_bound_report,
     lambda_lower_bound,
-    lambda_witness_cap,
     verify_cyclic_structure,
     verify_erdos_szekeres,
     verify_full_length_counts,
@@ -36,15 +35,12 @@ from .construct import (
 from .enumeration import (
     CountResult,
     FeasibilityError,
-    count_column_avoiders,
     count_reduced_squares,
     count_squares,
     enumerate_squares,
-    enumerate_with_first_row,
     partition_tasks,
 )
 from .perm import (
-    avoids,
     check_erdos_szekeres,
     complement,
     compose,
@@ -80,7 +76,6 @@ from .square import (
     relabel,
     rotate180,
     row_permutations,
-    serialize_rectangle,
     serialize_square,
     symbol_permutations,
     transpose,

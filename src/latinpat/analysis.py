@@ -4,8 +4,9 @@ full-length patterns, Wilf-class partitions, and the minimax analysis of
 monotone subsequences in rows and columns.
 
 Everything here recomputes from enumeration rather than trusting tables; the
-only inputs are the engine, the constructive generators, and exact integer
-arithmetic.
+only inputs are the engine's public calls (count_squares, enumerate_squares
+and the independent reduced_squares), the constructive generators, and
+exact integer arithmetic.
 """
 from __future__ import annotations
 
@@ -21,11 +22,9 @@ from . import perm
 from .construct import connolly_square
 from .enumeration import (
     REDUCED_SEARCH_BOUND,
-    Automata,
     FeasibilityError,
-    _run_search,
-    count_column_avoiders,
     count_squares,
+    enumerate_squares,
     reduced_squares,
 )
 from .perm import Perm
@@ -34,7 +33,6 @@ from .square import (
     AvoidanceSpec,
     Grid,
     LatinSquare,
-    _trusted_square,
     max_monotone,
     square_to_json,
 )
@@ -79,9 +77,6 @@ class WilfReport:
             ],
         }
 
-    def to_csv(self) -> str:
-        return wilf_csv(self.to_json())
-
 
 @dataclass(frozen=True)
 class LambdaReport:
@@ -104,9 +99,6 @@ class LambdaReport:
             "method": self.method,
             "witness": square_to_json(self.witness) if self.witness else None,
         }
-
-    def to_csv(self) -> str:
-        return lambda_csv(self.to_json())
 
 
 def wilf_csv(d: dict) -> str:
@@ -152,11 +144,6 @@ def lambda_lower_bound(n: int) -> int:
     return m
 
 
-def lambda_witness_cap(sq: LatinSquare) -> int:
-    """max_monotone of the square: a certified upper bound for its order."""
-    return max_monotone(sq)
-
-
 def compute_lambda_exhaustive(n: int) -> LambdaReport:
     """
     Exact minimax: the smallest max_monotone over all order-n squares, with
@@ -180,9 +167,8 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
 
     for value in itertools.count(lower - 1):
         spec = AvoidanceSpec.both(tuple(range(1, value + 2)), tuple(range(value + 1, 0, -1)))
-        first = next(_run_search(Automata(n, spec)), None)
-        if first is not None:
-            witness = _trusted_square(first)
+        witness = next(enumerate_squares(n, spec), None)
+        if witness is not None:
             break
 
     if value < lower:
@@ -214,31 +200,29 @@ def lambda_bound_report(n: int) -> LambdaReport:
 # full-length pattern counts
 # ---------------------------------------------------------------------------
 
-def full_length_count(n: int, total: int | None = None, *, max_order: int | None = None) -> int:
+def column_avoider_count(n: int, total: int | None = None) -> int:
     """
-    Number of order-n squares avoiding any fixed length-n pattern in rows and
-    columns: ((n!-n)/n!)^2 times the total count, an exact integer.  The
-    total is enumerated unless supplied by the caller (e.g. from a cache).
+    (n!-n)/n! times the total count, an exact integer: squares avoiding a
+    full-length pattern in columns only.  The total is counted unless
+    supplied by the caller (e.g. from a cache).
     """
     fact = math.factorial(n)
     if total is None:
-        total = count_squares(n, EMPTY_SPEC, max_order=max_order).count
-    num = (fact - n) ** 2 * total
-    q, r = divmod(num, fact * fact)
-    if r:
-        raise ArithmeticError(f"(n!-n)^2 * L_n not divisible by (n!)^2 at n={n}")
-    return q
-
-
-def column_avoider_count(n: int, total: int | None = None, *, max_order: int | None = None) -> int:
-    """(n!-n)/n! times the total count: squares avoiding a full-length pattern in columns only."""
-    fact = math.factorial(n)
-    if total is None:
-        total = count_squares(n, EMPTY_SPEC, max_order=max_order).count
+        total = count_squares(n, EMPTY_SPEC).count
     q, r = divmod((fact - n) * total, fact)
     if r:
-        raise ArithmeticError(f"(n!-n) * L_n not divisible by n! at n={n}")
+        raise ArithmeticError(f"(n!-n) * {total} not divisible by n! at n={n}")
     return q
+
+
+def full_length_count(n: int, total: int | None = None) -> int:
+    """
+    Number of order-n squares avoiding any fixed length-n pattern in rows and
+    columns: ((n!-n)/n!)^2 times the total count, column_avoider_count
+    applied twice.  With (n!-n)/n! = r/s in lowest terms, both steps divide
+    exactly iff s^2 divides the total, just as the squared factor does.
+    """
+    return column_avoider_count(n, column_avoider_count(n, total))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +385,7 @@ def verify_full_length_counts(
     checks = []
     ok = True
     for p in pats:
-        ell = count_column_avoiders(n, p).count
+        ell = count_squares(n, AvoidanceSpec.columns_only(p)).count
         full = count_squares(n, AvoidanceSpec.both(p)).count
         good = ell == expected_cols and full == expected_full
         ok = ok and good
@@ -439,7 +423,7 @@ def verify_triple_containment(n: int) -> dict:
     bit_of = _pattern_bits(3)
     candidates = set()
     for p in bit_of:
-        candidates.update(_run_search(Automata(n, AvoidanceSpec.both(p))))
+        candidates.update(sq.grid for sq in enumerate_squares(n, AvoidanceSpec.both(p)))
     cache: dict = {}
     triples = []
     for triple in (((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3), (3, 2, 1))):
@@ -465,7 +449,7 @@ def verify_cyclic_structure(n: int) -> dict:
     in number and that each has every column (and row) cyclic decreasing,
     each entry one less than the one above it, wrapping n below 1.
     """
-    squares = list(_run_search(Automata(n, AvoidanceSpec.both((1, 2, 3)))))
+    squares = [sq.grid for sq in enumerate_squares(n, AvoidanceSpec.both((1, 2, 3)))]
     structural = all(
         all(_is_cyclic_decreasing(col) for col in zip(*g))
         and all(_is_cyclic_decreasing(row) for row in g)

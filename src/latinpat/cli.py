@@ -2,7 +2,8 @@
 Command-line surface tying the library together.
 
 Subcommands: count, enumerate, construct {s3,prop2,connolly}, lambda, wilf,
-check, rect-check, verify {theorem6,corollary6,remark4,es}.
+check (a permutation pattern in a square's rows and columns), rect-check (a
+rectangle pattern in a square), verify {theorem6,corollary6,remark4,es}.
 
 Exit codes: 0 success, 1 internal error or failed verification, 2 invalid
 input, 3 feasibility refusal.  Output goes to stdout as JSON by default
@@ -387,33 +388,37 @@ def _cmd_wilf(args) -> int:
 
 def _cmd_check(args) -> int:
     sq = load_square(Path(args.square).read_text())
-    if getattr(args, "rectangle", None):
-        rect = load_rectangle(Path(args.rectangle).read_text())
-        witness = rectpat.contains_rectangle(sq, rect)
-        result = {
-            "order": sq.order,
-            "pattern_rows": rect.rows,
-            "pattern_cols": rect.cols,
-            "contained": witness is not None,
-            "witness": None if witness is None else {"rows": list(witness[0]), "cols": list(witness[1])},
-        }
-    else:
-        pattern = parse_perm(args.pattern)
-        witness = None
-        for kind, lines in (("row", row_permutations(sq)), ("column", column_permutations(sq))):
-            for idx, line in enumerate(lines, start=1):
-                pos = find_occurrence(line, pattern)
-                if pos is not None:
-                    witness = {"line_kind": kind, "line_index": idx, "positions": list(pos)}
-                    break
-            if witness:
+    pattern = parse_perm(args.pattern)
+    witness = None
+    for kind, lines in (("row", row_permutations(sq)), ("column", column_permutations(sq))):
+        for idx, line in enumerate(lines, start=1):
+            pos = find_occurrence(line, pattern)
+            if pos is not None:
+                witness = {"line_kind": kind, "line_index": idx, "positions": list(pos)}
                 break
-        result = {
-            "order": sq.order,
-            "pattern": "".join(map(str, pattern)) if len(pattern) <= 9 else list(pattern),
-            "contained": witness is not None,
-            "witness": witness,
-        }
+        if witness:
+            break
+    result = {
+        "order": sq.order,
+        "pattern": "".join(map(str, pattern)) if len(pattern) <= 9 else list(pattern),
+        "contained": witness is not None,
+        "witness": witness,
+    }
+    _emit(result, args.format)
+    return EXIT_OK
+
+
+def _cmd_rect_check(args) -> int:
+    sq = load_square(Path(args.square).read_text())
+    rect = load_rectangle(Path(args.rectangle).read_text())
+    witness = rectpat.contains_rectangle(sq, rect)
+    result = {
+        "order": sq.order,
+        "pattern_rows": rect.rows,
+        "pattern_cols": rect.cols,
+        "contained": witness is not None,
+        "witness": None if witness is None else {"rows": list(witness[0]), "cols": list(witness[1])},
+    }
     _emit(result, args.format)
     return EXIT_OK
 
@@ -503,19 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_wilf)
 
-    p = sub.add_parser("check", help="test a square for a permutation pattern or rectangle pattern")
+    p = sub.add_parser("check", help="test a square's rows and columns for a permutation pattern")
     p.add_argument("--square", required=True, help="square file (text grid or JSON)")
-    what = p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--pattern", help="permutation pattern")
-    what.add_argument("--rectangle", help="rectangle pattern file (text grid or JSON)")
+    p.add_argument("--pattern", required=True, help="permutation pattern")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("rect-check", help="test a square for a rectangle pattern")
-    p.add_argument("--square", required=True)
-    p.add_argument("--rectangle", required=True)
+    p.add_argument("--square", required=True, help="square file (text grid or JSON)")
+    p.add_argument("--rectangle", required=True, help="rectangle pattern file (text grid or JSON)")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_rect_check)
 
     p = sub.add_parser("verify", help="re-derive structural facts by enumeration; exit 1 on violation")
     vsub = p.add_subparsers(dest="what", required=True)

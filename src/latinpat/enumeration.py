@@ -26,8 +26,8 @@ Two engines expand the same keys:
   EC1 4.7), in this process: layer i maps each key after i rows to the
   number of partial squares reaching it, each key is expanded once, and
   the count is the sum of the last layer.
-- The row walk (_run_search) visits every square, for enumerate_squares,
-  render_squares and the lambda search.  Its per-call row table keeps
+- The row walk (_run_search) visits every square, for enumerate_squares
+  (which analysis walks) and render_squares.  Its per-call row table keeps
   each key's rows, decoded, and next keys, so each key's row search runs
   once.  reduced_squares, which feeds the Wilf filter, shares neither.
 
@@ -41,21 +41,21 @@ from the root counts.
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
 The walk is a generator that yields each grid and returns its nodes, so a
-consumer may stop at any square.  enumerate_squares iterates one walk.
-render_squares splits its walk into first-row tasks: a task is a first
-row, as a tuple, that the root's fill_row lets through, whatever the
-worker count.  A task walks the squares with that first row, and its
-nodes are the ones below it, so the first row's search plus every task's
-nodes give the unsplit walk's.  map_tasks runs the tasks, in worker
-processes when jobs > 1, each of which streams its tasks' pieces down its
-own pipe, and yields the pieces in task order, so every output is the same
-for any worker count.  The automata and the row table are built once per
-call; a worker process gets them once and grows the table across its tasks.
+consumer may stop at any square.  enumerate_squares is an iterator over one
+walk, or over one first-row task of it.  render_squares splits its walk
+into first-row tasks: a task is a first row, as a tuple, that the root's
+fill_row lets through, whatever the worker count.  A task walks the squares
+with that first row, and its nodes are the ones below it, so the first
+row's search plus every task's nodes give the unsplit walk's.  map_tasks
+runs the tasks, in worker processes when jobs > 1, each of which streams
+its tasks' pieces down its own pipe, and yields the pieces in task order,
+so every output is the same for any worker count.  The automata and the row
+table are built once per call; a worker process gets them once and grows
+the table across its tasks.
 """
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -99,7 +99,6 @@ class CountResult:
     spec: AvoidanceSpec
     count: int
     nodes_explored: int
-    elapsed: float
 
     def to_dict(self) -> dict:
         return {
@@ -541,31 +540,30 @@ def count_squares(
     rows_total, states) follows each row layer.
     """
     check_enumeration_bound(n, spec, max_order)
-    t0 = time.perf_counter()
     count, nodes = _sweep(Automata(n, spec), progress)
-    return CountResult(n, spec, count, nodes, time.perf_counter() - t0)
-
-
-def count_column_avoiders(n: int, pattern: Sequence[int], **kwargs) -> CountResult:
-    """Squares avoiding the pattern in the columns only."""
-    return count_squares(n, AvoidanceSpec.columns_only(as_perm(pattern)), **kwargs)
+    return CountResult(n, spec, count, nodes)
 
 
 def enumerate_squares(
     n: int,
-    spec: AvoidanceSpec,
-    visitor: Callable[[LatinSquare], None],
+    spec: AvoidanceSpec = EMPTY_SPEC,
     *,
+    first_row: Sequence[int] | None = None,
     max_order: int | None = None,
-) -> None:
+) -> Iterator[LatinSquare]:
     """
-    Invoke visitor exactly once per satisfying square, in lexicographic order
-    of the row-major grid, each as the walk in this process yields it.  A
-    visitor that raises stops the search.
+    An iterator over the satisfying squares, in lexicographic order of the
+    row-major grid, each as the walk in this process yields it; with
+    first_row, only those whose first row equals it.  first_row, the order
+    bound and the spec are checked, and the automata compiled, at the call,
+    not at the first next().
     """
+    if first_row is not None:
+        first_row = as_perm(first_row)
+        if len(first_row) != n:
+            raise ValueError(f"first row has length {len(first_row)}, expected {n}")
     check_enumeration_bound(n, spec, max_order)
-    for grid in _run_search(Automata(n, spec)):
-        visitor(_trusted_square(grid))
+    return map(_trusted_square, _run_search(Automata(n, spec), first_row))
 
 
 def render_squares(
@@ -589,21 +587,6 @@ def render_squares(
     automata = Automata(n, spec)
     worker = partial(_render_worker, automata=automata, render=render)
     return map_tasks(worker, _first_row_tasks(automata), jobs)
-
-
-def enumerate_with_first_row(
-    n: int,
-    first_row: Sequence[int],
-    spec: AvoidanceSpec = EMPTY_SPEC,
-    *,
-    max_order: int | None = None,
-) -> list[LatinSquare]:
-    """All satisfying squares whose first row equals first_row, in order."""
-    first_row = as_perm(first_row)
-    if len(first_row) != n:
-        raise ValueError(f"first row has length {len(first_row)}, expected {n}")
-    check_enumeration_bound(n, spec, max_order)
-    return [_trusted_square(g) for g in _run_search(Automata(n, spec), first_row)]
 
 
 # ---------------------------------------------------------------------------

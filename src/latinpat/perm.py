@@ -172,10 +172,6 @@ def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     return find_occurrence(host, pattern) is not None
 
 
-def avoids(host: Sequence[int], pattern: Sequence[int]) -> bool:
-    return not contains(host, pattern)
-
-
 def pattern_of(values: Sequence[int]) -> Perm:
     """
     The permutation giving the relative order of a distinct-value sequence.

@@ -307,9 +307,6 @@ def square_from_json(obj: dict) -> LatinSquare:
     return sq
 
 
-serialize_rectangle = serialize_square
-
-
 def parse_rectangle(text: str) -> LatinRectangle:
     """Text grid form; the alphabet bound is taken to be the largest entry."""
     return latin_rectangle(_parse_grid(text))

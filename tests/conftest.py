@@ -207,9 +207,7 @@ def walk_stats(grids):
 
 
 def collect_squares(n, spec=EMPTY_SPEC):
-    out = []
-    enumeration.enumerate_squares(n, spec, out.append)
-    return out
+    return list(enumeration.enumerate_squares(n, spec))
 
 
 @pytest.fixture(scope="session")

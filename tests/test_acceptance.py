@@ -16,7 +16,6 @@ from latinpat.analysis import (
     compute_lambda_exhaustive,
     full_length_count,
     lambda_lower_bound,
-    lambda_witness_cap,
     verify_triple_containment,
     wilf_classes,
 )
@@ -30,7 +29,6 @@ from latinpat.construct import (
 from latinpat.enumeration import (
     Automata,
     _run_search,
-    count_column_avoiders,
     count_reduced_squares,
     count_squares,
 )
@@ -41,6 +39,7 @@ from latinpat.square import (
     AvoidanceSpec,
     avoids_spec,
     latin_rectangle,
+    max_monotone,
     serialize_square,
 )
 
@@ -107,7 +106,7 @@ def test_criterion_1_length3_avoider_counts():
 def test_criterion_2_columns_only_factorial():
     for q in S3:
         for n, expected in ((3, 6), (4, 24), (5, 120)):
-            got = count_column_avoiders(n, q).count
+            got = count_squares(n, AvoidanceSpec.columns_only(q)).count
             assert got == expected, (q, n, got)
     _ok("criterion 2: columns-only avoider count is n! (n=3..5, all length-3 patterns)")
 
@@ -132,7 +131,7 @@ def test_criterion_3_baseline_counts():
 
 def test_criterion_4_full_length_identity():
     l4 = count_squares(4).count
-    assert count_column_avoiders(4, (1, 2, 3, 4)).count == 480
+    assert count_squares(4, AvoidanceSpec.columns_only((1, 2, 3, 4))).count == 480
     assert (math.factorial(4) - 4) * l4 // math.factorial(4) == 480
     assert count_squares(4, AvoidanceSpec.both((1, 2, 3, 4))).count == 400
     assert full_length_count(4, l4) == 400
@@ -194,10 +193,10 @@ def test_criterion_6_lambda_values():
     assert report5.exact_value == LAMBDA_5
     # certification: the proven lower bound meets the witness cap
     assert lambda_lower_bound(5) == LAMBDA_5
-    assert lambda_witness_cap(report5.witness) == LAMBDA_5
+    assert max_monotone(report5.witness) == LAMBDA_5
 
-    assert lambda_lower_bound(9) == 4 and lambda_witness_cap(connolly_square(3)) == 4
-    assert lambda_lower_bound(16) == 5 and lambda_witness_cap(connolly_square(4)) == 5
+    assert lambda_lower_bound(9) == 4 and max_monotone(connolly_square(3)) == 4
+    assert lambda_lower_bound(16) == 5 and max_monotone(connolly_square(4)) == 5
 
     # closed form agrees with the inversion of (m-1)(m-2)+2 <= n everywhere
     m = 2

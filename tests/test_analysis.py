@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,13 +9,14 @@ from latinpat.analysis import (
     compute_lambda_exhaustive,
     full_length_count,
     lambda_bound_report,
+    lambda_csv,
     lambda_lower_bound,
-    lambda_witness_cap,
     verify_cyclic_structure,
     verify_erdos_szekeres,
     verify_full_length_counts,
     verify_triple_containment,
     wilf_classes,
+    wilf_csv,
 )
 from latinpat.cli import main
 from latinpat.construct import connolly_square
@@ -138,9 +140,9 @@ def test_lambda_exhaustive_checks_the_lower_bound(monkeypatch, n, value):
 # ---------------------------------------------------------------------------
 
 def test_witness_caps():
-    assert lambda_witness_cap(connolly_square(3)) == 4
-    assert lambda_witness_cap(connolly_square(4)) == 5
-    assert lambda_witness_cap(latin_square([[1, 2], [2, 1]])) == 2
+    assert max_monotone(connolly_square(3)) == 4
+    assert max_monotone(connolly_square(4)) == 5
+    assert max_monotone(latin_square([[1, 2], [2, 1]])) == 2
 
 
 def test_bound_report_perfect_squares():
@@ -192,6 +194,37 @@ def test_full_length_count_with_supplied_total():
     assert full_length_count(5, total=161280) == 148120
     assert column_avoider_count(5, total=161280) == 154560
     assert column_avoider_count(4) == 480
+
+
+def _squared_factor_count(n, total):
+    # Theorem 6's closed form as one division: ((n!-n)/n!)^2 * total
+    fact = math.factorial(n)
+    q, r = divmod((fact - n) ** 2 * total, fact * fact)
+    if r:
+        raise ArithmeticError(f"not an integer at n={n}")
+    return q
+
+
+@pytest.mark.parametrize("n, total", [(1, 1), (2, 2), (3, 12), (4, 576), (5, 161_280), (6, 812_851_200)])
+def test_full_length_count_closed_form(n, total):
+    assert full_length_count(n, total) == _squared_factor_count(n, total)
+
+
+def test_full_length_count_divides_like_the_squared_factor():
+    # applying (n!-n)/n! twice divides exactly on the same totals as its square
+    for n in (3, 4, 5, 6):
+        for total in range(1200):
+            try:
+                expected = _squared_factor_count(n, total)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    full_length_count(n, total)
+            else:
+                assert full_length_count(n, total) == expected
+    with pytest.raises(ArithmeticError):
+        column_avoider_count(3, 1)
+    with pytest.raises(ArithmeticError):
+        full_length_count(3, 1)
 
 
 def test_verify_full_length_counts():
@@ -276,7 +309,7 @@ def test_wilf_report_serialization():
     js = report.to_json()
     assert js["num_classes"] == 1
     assert js["counts"]["123"] == 4
-    csv = report.to_csv()
+    csv = wilf_csv(js)
     lines = csv.strip().split("\n")
     assert lines[0] == "pattern,count,class_id"
     assert "123,4,1" in lines
@@ -362,5 +395,5 @@ def test_lambda_report_serialization():
     js = report.to_json()
     assert js["exact_value"] == 3
     assert js["witness"]["order"] == 3
-    csv = lambda_bound_report(9).to_csv()
+    csv = lambda_csv(lambda_bound_report(9).to_json())
     assert csv.splitlines()[1] == "9,4,4,4,witness-capped"

@@ -125,9 +125,7 @@ def test_enumerate_with_spec(capsys):
 
 
 def _square_json_lines(n):
-    lines = []
-    enumerate_squares(n, EMPTY_SPEC, lambda sq: lines.append(json.dumps(square_to_json(sq), sort_keys=True)))
-    return lines
+    return [json.dumps(square_to_json(sq), sort_keys=True) for sq in enumerate_squares(n, EMPTY_SPEC)]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -330,6 +328,19 @@ def test_check_invalid_square(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--square", str(f), "--pattern", "12")
     assert code == 2
     assert "column 1 repeats symbol 1" in err
+
+
+@pytest.mark.parametrize("rectangle", [True, False], ids=["rectangle", "no-pattern"])
+def test_check_takes_only_a_pattern(tmp_path, rectangle):
+    # rectangles go to rect-check; check requires --pattern and takes no --rectangle
+    sq = tmp_path / "sq.txt"
+    sq.write_text(serialize_square(connolly_square(3)))
+    rect = tmp_path / "rect.txt"
+    rect.write_text("3 4 2\n1 3 4\n")
+    extra = ["--rectangle", str(rect)] if rectangle else []
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--square", str(sq), *extra])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from latinpat.construct import (
     connolly_square,
     construct_s3_avoider,
 )
-from latinpat.enumeration import count_squares, enumerate_with_first_row
+from latinpat.enumeration import count_squares, enumerate_squares
 from latinpat.square import (
     AvoidanceSpec,
     avoids_spec,
@@ -59,9 +59,7 @@ def test_completion_is_the_unique_one():
         for n in (2, 3, 4, 5):
             for sigma in perms(n):
                 built = complete_columns_avoiding(sigma, q)
-                found = enumerate_with_first_row(
-                    n, built.grid[0], AvoidanceSpec.columns_only(q)
-                )
+                found = list(enumerate_squares(n, AvoidanceSpec.columns_only(q), first_row=built.grid[0]))
                 assert found == [built], (q, sigma)
 
 

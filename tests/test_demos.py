@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -17,3 +18,30 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_block_runs():
+    # every top-level expression whose comment (at its end or on the next
+    # line) is a Python literal must evaluate to that literal
+    section = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        after = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if not after and stmt.end_lineno < len(lines):
+            after = lines[stmt.end_lineno].strip()
+        try:
+            expected = ast.literal_eval(after.lstrip("#").strip()) if after.startswith("#") else None
+        except (ValueError, SyntaxError):
+            expected = None
+        if expected is not None:
+            assert value == expected, (code, value)
+            checked += 1
+    assert checked >= 4

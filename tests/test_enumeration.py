@@ -17,10 +17,9 @@ from latinpat.enumeration import (
     FeasibilityError,
     _run_search,
     _worker_count,
-    count_column_avoiders,
     count_reduced_squares,
     count_squares,
-    enumerate_with_first_row,
+    enumerate_squares,
     fill_row,
     map_tasks,
     partition_tasks,
@@ -104,11 +103,11 @@ def test_length3_avoiders_are_the_cyclic_squares():
 
 def test_columns_only_count_is_factorial():
     assert count_squares(4, AvoidanceSpec.columns_only((1, 3, 2))).count == 24
-    assert count_column_avoiders(4, (1, 2, 3)).count == 24
+    assert count_squares(4, AvoidanceSpec.columns_only((1, 2, 3))).count == 24
 
 
 def test_trivial_pattern_counts():
-    assert count_column_avoiders(1, (1,)).count == 0
+    assert count_squares(1, AvoidanceSpec.columns_only((1,))).count == 0
     # single-entry and length-2 patterns wipe out everything at n >= 2
     assert count_squares(3, AvoidanceSpec.both((1,))).count == 0
     assert count_squares(3, AvoidanceSpec.both((1, 2), (2, 1))).count == 0
@@ -318,7 +317,6 @@ def test_one_row_table_per_call(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(enumeration, "Automata", Recording)
-    monkeypatch.setattr(analysis, "Automata", Recording)
 
     def entries_built(call):
         made.clear()
@@ -512,7 +510,7 @@ def test_partition_first_row():
     # subtree holds 576/24 = 24 squares
     tasks = partition_tasks(4, EMPTY_SPEC, 4)
     assert len(tasks) == 24
-    per_task = [len(enumerate_with_first_row(4, t)) for t in tasks]
+    per_task = [len(list(enumerate_squares(4, first_row=t))) for t in tasks]
     assert per_task == [24] * 24
     assert sum(per_task) == 576
 
@@ -520,7 +518,7 @@ def test_partition_first_row():
 @pytest.mark.parametrize("depth", [4])
 def test_partition_counts_sum(depth):
     spec = AvoidanceSpec.columns_only((1, 2, 3))
-    per_task = [len(enumerate_with_first_row(4, t, spec)) for t in partition_tasks(4, spec, depth)]
+    per_task = [len(list(enumerate_squares(4, spec, first_row=t))) for t in partition_tasks(4, spec, depth)]
     assert sum(per_task) == count_squares(4, spec).count == walk_count(4, spec)[0] == 24
 
 
@@ -542,25 +540,40 @@ def test_partition_depth_bounds():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_with_first_row_unique_completion():
-    got = enumerate_with_first_row(4, (2, 1, 3, 4), AvoidanceSpec.columns_only((1, 2, 3)))
+    got = list(enumerate_squares(4, AvoidanceSpec.columns_only((1, 2, 3)), first_row=(2, 1, 3, 4)))
     assert len(got) == 1
     assert got[0].grid == ((2, 1, 3, 4), (1, 4, 2, 3), (4, 3, 1, 2), (3, 2, 4, 1))
 
 
 def test_enumerate_with_first_row_pruned_to_empty():
-    assert enumerate_with_first_row(4, (1, 2, 3, 4), AvoidanceSpec.rows_only((1, 2, 3))) == []
+    assert list(enumerate_squares(4, AvoidanceSpec.rows_only((1, 2, 3)), first_row=(1, 2, 3, 4))) == []
 
 
 def test_every_first_row_completes_once():
     for sigma in perms(4):
-        got = enumerate_with_first_row(4, sigma, AvoidanceSpec.columns_only((1, 2, 3)))
+        got = list(enumerate_squares(4, AvoidanceSpec.columns_only((1, 2, 3)), first_row=sigma))
         assert len(got) == 1
 
 
 def test_first_row_length_mismatch():
     for first_row in ((1, 2, 3), (1, 2, 2, 4)):
         with pytest.raises(ValueError):
-            enumerate_with_first_row(4, first_row, EMPTY_SPEC)
+            enumerate_squares(4, EMPTY_SPEC, first_row=first_row)
+
+
+def test_enumerate_squares_checks_at_the_call():
+    # the order gate and the first-row checks run before any next()
+    with pytest.raises(FeasibilityError):
+        enumerate_squares(7)
+    with pytest.raises(ValueError):
+        enumerate_squares(4, first_row=(1, 2, 3))
+
+
+@pytest.mark.parametrize("spec", [EMPTY_SPEC, AvoidanceSpec.columns_only((1, 2, 3))], ids=["empty", "cols-123"])
+def test_first_row_walks_concatenate_to_the_whole(spec):
+    whole = list(enumerate_squares(4, spec))
+    by_first_row = [sq for row in perms(4) for sq in enumerate_squares(4, spec, first_row=row)]
+    assert by_first_row == whole
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,7 @@ def _grids(n, spec=EMPTY_SPEC, jobs=1):
         # the pool path of the CLI's parallel enumerate
         text = "".join(render_squares(n, spec, cli._SquareLines(n), jobs=jobs))
         return [tuple(map(tuple, json.loads(line)["grid"])) for line in text.splitlines()]
-    got = []
-    enumerate_squares(n, spec, lambda sq: got.append(sq.grid))
-    return got
+    return [sq.grid for sq in enumerate_squares(n, spec)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
