@@ -21,7 +21,6 @@ from typing import Sequence
 from . import perm
 from .construct import connolly_square
 from .enumeration import (
-    REDUCED_SEARCH_BOUND,
     FeasibilityError,
     count_squares,
     enumerate_squares,
@@ -37,13 +36,9 @@ from .square import (
     square_to_json,
 )
 
-#: largest order for which the full minimax scan is allowed
-LAMBDA_EXHAUSTIVE_BOUND = 5
-
-#: default feasibility box for Wilf-class computation; filter mode's order
-#: bound is REDUCED_SEARCH_BOUND, the bound of the search it runs
+#: longest pattern wilf_classes takes unless forced: each mode's work
+#: grows with the k! patterns, which no order bound sizes
 WILF_MAX_PATTERN_LENGTH = 4
-WILF_MAX_ORDER = 5
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +150,9 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
     the lower-bound check; at m = n the patterns are longer than n and a
     square always exists.  Each search runs in this process and visits
     squares in lexicographic order, so its first square at the least
-    feasible m is the witness.  Feasible for n <= LAMBDA_EXHAUSTIVE_BOUND.
+    feasible m is the witness.  Each search is sized as enumerate_squares
+    sizes it: λ(6) = 3, and order 7 is refused at m = 4.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > LAMBDA_EXHAUSTIVE_BOUND:
-        raise FeasibilityError(
-            f"exhaustive minimax at order {n} exceeds the bound {LAMBDA_EXHAUSTIVE_BOUND}"
-        )
     lower = lambda_lower_bound(n) if n >= 2 else 1
 
     for value in itertools.count(lower - 1):
@@ -273,7 +263,7 @@ def _avoiding_orders(line: tuple[int, ...], orders: list[tuple[int, ...]], masks
     return tuple(avoid)
 
 
-def _filter_counts(k: int, n: int) -> list[int]:
+def _filter_counts(k: int, n: int, force: bool) -> list[int]:
     """
     The number of order-n squares avoiding each length-k pattern (in
     _pattern_bits order) in every row and column, from the reduced squares
@@ -291,10 +281,10 @@ def _filter_counts(k: int, n: int) -> list[int]:
     filter shares nothing with the prefix automata, the row walk or the
     sweep.
     """
+    reduced = list(reduced_squares(n, force))
     bit_of = _pattern_bits(k)
     lines = list(itertools.permutations(range(1, n + 1)))
     masks = {line: _line_mask(line, k, bit_of) for line in lines}
-    reduced = list(reduced_squares(n))
     column_orders = [tuple(s - 1 for s in line) for line in lines]
     row_orders = [(0,) + t for t in itertools.permutations(range(1, n))]
     num = len(bit_of)
@@ -325,26 +315,23 @@ def wilf_classes(
     multiplies out the row and column orders (_filter_counts); at order 5
     it tests 56 reduced squares in place of 161,280 squares.
     mode="pruned" runs one pruned count per pattern (slower, kept for
-    cross-validation).  Both run in this process.  Classes are reported
-    largest count first.
+    cross-validation), sized as count_squares sizes them; filter mode's
+    search cannot be sized.  Both run in this process.  Classes are
+    reported largest count first.
     """
     if k < 1 or n < 1:
         raise ValueError("pattern length and order must be >= 1")
     if mode not in ("filter", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    max_order = WILF_MAX_ORDER if mode == "pruned" else REDUCED_SEARCH_BOUND
-    if not force and (k > WILF_MAX_PATTERN_LENGTH or n > max_order):
-        raise FeasibilityError(
-            f"{mode} wilf computation at pattern length {k}, order {n} exceeds the default "
-            f"box ({WILF_MAX_PATTERN_LENGTH}, {max_order}); pass force to override"
-        )
+    if not force and k > WILF_MAX_PATTERN_LENGTH:
+        raise FeasibilityError(f"wilf pattern length {k} exceeds the bound {WILF_MAX_PATTERN_LENGTH}; pass force")
 
     patterns = list(itertools.permutations(range(1, k + 1)))
     if mode == "pruned":
-        counts = {p: count_squares(n, AvoidanceSpec.both(p)).count for p in patterns}
+        counts = {p: count_squares(n, AvoidanceSpec.both(p), force=force).count for p in patterns}
     else:
         # a pattern longer than n is in no line's mask, so it gets the full count
-        counts = dict(zip(patterns, _filter_counts(k, n)))
+        counts = dict(zip(patterns, _filter_counts(k, n, force)))
 
     by_count: dict[int, list[Perm]] = {}
     for p in patterns:
@@ -414,11 +401,6 @@ def verify_triple_containment(n: int) -> dict:
     checked, not assumed), and tested in row-major lexicographic order, the
     row walk's own; the number of squares comes from the sweep.
     """
-    if n > 5:
-        raise FeasibilityError(
-            "triple-containment check walks the avoiders of every length-3 pattern "
-            "and counts all squares by the sweep; n <= 5"
-        )
     squares = count_squares(n, EMPTY_SPEC).count
     bit_of = _pattern_bits(3)
     candidates = set()

@@ -263,27 +263,20 @@ def _build_spec(args) -> AvoidanceSpec:
     return AvoidanceSpec(tuple(rows), tuple(cols), tuple(syms))
 
 
-def _check_order(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
-    n = _check_order(args.order)
     spec = _build_spec(args)
     progress = _progress_emitter(args)
     t0 = time.perf_counter()
 
     def compute() -> dict:
-        result = count_squares(n, spec, max_order=args.max_order, progress=progress)
+        result = count_squares(args.order, spec, force=args.force, progress=progress)
         return result.to_dict()
 
-    key = {"op": "count", "order": n, "spec": _spec_digest(spec)}
+    key = {"op": "count", "order": args.order, "spec": _spec_digest(spec)}
     value = _cached(args, key, compute)
     if args.timings:
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
@@ -313,14 +306,13 @@ class _SquareLines(dict):
 
 
 def _cmd_enumerate(args) -> int:
-    n = _check_order(args.order)
     spec = _build_spec(args)
     progress = args.progress == "json"
     seen = 0
     # lines arrive in pieces of at most RENDER_PIECE_SQUARES squares, made
     # where their task runs; progress reports every 10,000 a piece's end
     # crossed
-    texts = render_squares(n, spec, _SquareLines(n), jobs=args.jobs, max_order=args.max_order)
+    texts = render_squares(args.order, spec, _SquareLines(args.order), jobs=args.jobs, force=args.force)
     with closing(texts):
         for text in texts:
             sys.stdout.write(text)
@@ -343,7 +335,7 @@ def _emit_square(sq, fmt: str) -> None:
 
 
 def _cmd_construct_s3(args) -> int:
-    sq = construct.construct_s3_avoider(_check_order(args.order), parse_perm(args.pattern), args.start)
+    sq = construct.construct_s3_avoider(args.order, parse_perm(args.pattern), args.start)
     _emit_square(sq, args.format)
     return EXIT_OK
 
@@ -362,24 +354,20 @@ def _cmd_construct_connolly(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    n = _check_order(args.order)
     if args.exhaustive:
-        key = {"op": "lambda-exhaustive", "order": n}
-        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(n).to_json())
+        key = {"op": "lambda-exhaustive", "order": args.order}
+        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(args.order).to_json())
     else:
-        value = analysis.lambda_bound_report(n).to_json()
+        value = analysis.lambda_bound_report(args.order).to_json()
     _emit(value, args.format, analysis.lambda_csv)
     return EXIT_OK
 
 
 def _cmd_wilf(args) -> int:
-    n = _check_order(args.order)
-    if args.length < 1:
-        raise ValueError(f"pattern length must be >= 1, got {args.length}")
-    key = {"op": "wilf", "length": args.length, "order": n, "mode": args.mode}
+    key = {"op": "wilf", "length": args.length, "order": args.order, "mode": args.mode}
 
     def compute() -> dict:
-        return analysis.wilf_classes(args.length, n, mode=args.mode, force=args.force).to_json()
+        return analysis.wilf_classes(args.length, args.order, mode=args.mode, force=args.force).to_json()
 
     value = _cached(args, key, compute)
     _emit(value, args.format, analysis.wilf_csv)
@@ -426,11 +414,11 @@ def _cmd_rect_check(args) -> int:
 def _cmd_verify(args) -> int:
     if args.what == "theorem6":
         pats = [parse_perm(p) for p in args.patterns] if args.patterns else None
-        report = analysis.verify_full_length_counts(_check_order(args.order), pats)
+        report = analysis.verify_full_length_counts(args.order, pats)
     elif args.what == "corollary6":
-        report = analysis.verify_triple_containment(_check_order(args.order))
+        report = analysis.verify_triple_containment(args.order)
     elif args.what == "remark4":
-        report = analysis.verify_cyclic_structure(_check_order(args.order))
+        report = analysis.verify_cyclic_structure(args.order)
     else:  # es
         report = analysis.verify_erdos_szekeres(args.p, args.q)
     _emit(report, args.format)
@@ -452,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count squares satisfying an avoidance spec")
     p.add_argument("--order", type=int, required=True)
     _add_avoid_flags(p)
-    p.add_argument("--max-order", type=int, default=None,
-                   help="raise the unrestricted-enumeration order bound (default 6)")
+    p.add_argument("--force", action="store_true", help="run above order 6 without sizing the search")
     _add_common_flags(p, timings=True, progress=True)
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_count)
@@ -461,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream satisfying squares as JSON lines")
     p.add_argument("--order", type=int, required=True)
     _add_avoid_flags(p)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--force", action="store_true", help="run above order 6 without sizing the search")
     _add_common_flags(p, formats=("json",), progress=True)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -493,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="monotone-subsequence minimax analysis")
     p.add_argument("--order", type=int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exhaustive", action="store_true", help="exact value by pruned existence search (order <= 5)")
+    mode.add_argument("--exhaustive", action="store_true", help="exact value by pruned search (sized above order 6)")
     mode.add_argument("--bounds", action="store_true", help="lower bound plus witness cap, no scan")
     _add_common_flags(p)
     _add_cache_flags(p)

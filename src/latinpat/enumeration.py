@@ -52,6 +52,10 @@ its tasks' pieces down its own pipe, and yields the pieces in task order,
 so every output is the same for any worker count.  The automata and the row
 table are built once per call; a worker process gets them once and grows
 the table across its tasks.
+
+Every order bound is here, in one feasibility rule (must_size): above
+UNSIZED_ORDER, unless forced, a search runs only while its compile and its
+sweep stay inside WORK_BUDGET and STATE_BUDGET, and a walk sweeps first.
 """
 from __future__ import annotations
 
@@ -59,9 +63,10 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from math import inf
 from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
-from .perm import DEAD, PrefixAutomaton, as_perm, prefix_automaton
+from .perm import DEAD, FeasibilityError, PrefixAutomaton, as_perm, prefix_automaton
 from .square import (
     EMPTY_SPEC,
     AvoidanceSpec,
@@ -74,12 +79,15 @@ from .square import (
 #: are keyed by it, so a change to any answer must raise it
 ENGINE_VERSION = 4
 
-#: hard default ceiling for enumeration whose spec prunes nothing
-DEFAULT_UNRESTRICTED_BOUND = 6
+#: highest order at which every search runs unsized
+UNSIZED_ORDER = 6
 
-#: ceiling for the independent reduced-square count, and the Wilf filter's
-#: default order bound
-REDUCED_SEARCH_BOUND = 6
+#: most cell placements a sized compile, or a sized sweep, may try: about
+#: 30 s of row search on a 2-vCPU host
+WORK_BUDGET = 1 << 26
+
+#: most keys one row layer of a sized sweep may hold
+STATE_BUDGET = 1 << 20
 
 #: most states one row walk's table stores (a few hundred bytes each);
 #: states past it are searched again on every visit
@@ -87,10 +95,6 @@ ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-class FeasibilityError(Exception):
-    """A request exceeds the configured desk-scale bounds."""
 
 
 @dataclass(frozen=True)
@@ -109,23 +113,15 @@ class CountResult:
         }
 
 
-def _spec_prunes(n: int, spec: AvoidanceSpec) -> bool:
-    # A symbol-only count equals the rows-only count of its patterns (symbol
-    # lines are the rows of a conjugate square), and this gate cannot size
-    # that tree, so symbol-only specs keep the unrestricted bound.
-    return any(len(p) <= n for p in spec.row_patterns + spec.col_patterns)
-
-
-def check_enumeration_bound(n: int, spec: AvoidanceSpec, max_order: int | None = None) -> None:
-    """Refuse unrestricted enumeration beyond the configured order bound."""
+def must_size(n: int, force: bool = False) -> bool:
+    """
+    The feasibility rule: whether a search at order n is sized, as it is
+    above UNSIZED_ORDER unless forced.  A search that cannot be sized, the
+    reduced-square search, is refused where this rule would size it.
+    """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    bound = DEFAULT_UNRESTRICTED_BOUND if max_order is None else max_order
-    if not _spec_prunes(n, spec) and n > bound:
-        raise FeasibilityError(
-            f"unrestricted enumeration at order {n} exceeds the bound {bound}; "
-            "raise max_order to override"
-        )
+    return n > UNSIZED_ORDER and not force
 
 
 def _free_automaton(n: int) -> PrefixAutomaton:
@@ -207,13 +203,13 @@ class Automata:
     the table holds 4,321 keys in about 1.2 MB.
     """
 
-    def __init__(self, n: int, spec: AvoidanceSpec):
+    def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf):
         compiled: dict[tuple, PrefixAutomaton] = {}
         sides = []
         for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
             short = tuple(p for p in patterns if len(p) <= n)
             if short and short not in compiled:
-                compiled[short] = prefix_automaton(n, short)
+                compiled[short] = prefix_automaton(n, short, max_work=max_work)
             sides.append(compiled.get(short))
         row, col, self.sym = sides
         self.n = n
@@ -301,17 +297,18 @@ def fill_row(auto: Automata, key: int) -> list[int]:
     return kept
 
 
-def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> tuple[int, int]:
+def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, sized: bool) -> tuple[int, int]:
     """
     Count by the transfer-matrix method: (squares, nodes).  Layer i maps
     each key after i rows to the number of partial squares that reach it.
     Each key is expanded once by fill_row, and nodes adds that search's
     nodes once per partial square, so it equals the row walk's
-    nodes_explored.
+    nodes_explored.  A sized sweep raises FeasibilityError once fill_row's
+    nodes, each key's once, pass WORK_BUDGET or a layer STATE_BUDGET keys.
     """
     n = auto.n
     layer = {auto.root: 1}
-    nodes = 0
+    nodes = work = 0
     for i in range(n):
         after: dict[int, int] = {}
         get = after.get
@@ -320,6 +317,12 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None) -> 
             nodes += paths * found[0]
             for nxt in islice(found, 1, None):
                 after[nxt] = get(nxt, 0) + paths
+            if sized:
+                work += found[0]
+                if work > WORK_BUDGET or len(after) > STATE_BUDGET:
+                    raise FeasibilityError(
+                        f"order-{n} sweep passed its bound in row {i + 1}, at {work:,} cell placements "
+                        f"(bound {WORK_BUDGET:,}) and {len(after):,} states (bound {STATE_BUDGET:,}); force lifts it")
         layer = after
         if progress is not None:
             progress(i + 1, n, len(layer))
@@ -525,22 +528,31 @@ def default_split_depth(n: int) -> int:
     return n
 
 
+def _sized_search(n: int, spec: AvoidanceSpec, force: bool, walk: bool, progress=None) -> tuple:
+    """
+    Every search's start: spec's automata at order n and, for a count or a
+    sized walk (must_size), the sweep's (squares, nodes), else None.
+    """
+    sized = must_size(n, force)
+    auto = Automata(n, spec, WORK_BUDGET if sized else inf)
+    return auto, _sweep(auto, progress, sized) if sized or not walk else None
+
+
 def count_squares(
     n: int,
     spec: AvoidanceSpec = EMPTY_SPEC,
     *,
-    max_order: int | None = None,
+    force: bool = False,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> CountResult:
     """
     Count order-n Latin squares satisfying the avoidance spec, by a forward
-    sweep over row layers in this process (_sweep).  nodes_explored is the
-    row walk's, from the root: the cell placements that passed the occupancy
-    masks, counted once per partial square they extend.  progress(rows_done,
-    rows_total, states) follows each row layer.
+    sweep over row layers in this process (_sweep), sized unless force.
+    nodes_explored is the row walk's, from the root: the cell placements
+    that passed the occupancy masks, counted once per partial square they
+    extend.  progress(rows_done, rows_total, states) follows each row layer.
     """
-    check_enumeration_bound(n, spec, max_order)
-    count, nodes = _sweep(Automata(n, spec), progress)
+    _, (count, nodes) = _sized_search(n, spec, force, walk=False, progress=progress)
     return CountResult(n, spec, count, nodes)
 
 
@@ -549,21 +561,21 @@ def enumerate_squares(
     spec: AvoidanceSpec = EMPTY_SPEC,
     *,
     first_row: Sequence[int] | None = None,
-    max_order: int | None = None,
+    force: bool = False,
 ) -> Iterator[LatinSquare]:
     """
     An iterator over the satisfying squares, in lexicographic order of the
     row-major grid, each as the walk in this process yields it; with
-    first_row, only those whose first row equals it.  first_row, the order
-    bound and the spec are checked, and the automata compiled, at the call,
-    not at the first next().
+    first_row, only those whose first row equals it.  first_row and the
+    spec are checked, the automata compiled and the walk sized unless
+    force, at the call, not at the first next().
     """
     if first_row is not None:
         first_row = as_perm(first_row)
         if len(first_row) != n:
             raise ValueError(f"first row has length {len(first_row)}, expected {n}")
-    check_enumeration_bound(n, spec, max_order)
-    return map(_trusted_square, _run_search(Automata(n, spec), first_row))
+    auto, _ = _sized_search(n, spec, force, walk=True)
+    return map(_trusted_square, _run_search(auto, first_row))
 
 
 def render_squares(
@@ -572,7 +584,7 @@ def render_squares(
     render: Callable[[Grid], str],
     *,
     jobs: int = 1,
-    max_order: int | None = None,
+    force: bool = False,
 ) -> Iterator[str]:
     """
     Yield the satisfying squares as text, in lexicographic order: pieces
@@ -581,10 +593,9 @@ def render_squares(
     the task runs, in a worker process when jobs > 1 that keeps its copy,
     with anything it caches, across its tasks; render must be picklable.
     No process holds a whole order-6 task, and closing the iterator early
-    terminates the workers.
+    terminates the workers.  The walk is sized before any worker starts.
     """
-    check_enumeration_bound(n, spec, max_order)
-    automata = Automata(n, spec)
+    automata, _ = _sized_search(n, spec, force, walk=True)
     worker = partial(_render_worker, automata=automata, render=render)
     return map_tasks(worker, _first_row_tasks(automata), jobs)
 
@@ -593,16 +604,17 @@ def render_squares(
 # independent reduced-square cross-check
 # ---------------------------------------------------------------------------
 
-def reduced_squares(n: int) -> Iterator[Grid]:
+def reduced_squares(n: int, force: bool = False) -> Iterator[Grid]:
     """
     Every reduced square of order n (first row and first column 1..n), in
     row-major lexicographic order, by a backtracking search that shares no
     code with the main engine.  Bit s of cols[j] marks symbol s in column j.
     Rows are filled cell by cell until n-1 are placed; then each column
-    misses one symbol, and those symbols are the last row.
+    misses one symbol, and those symbols are the last row.  The search
+    cannot be sized, so above UNSIZED_ORDER it is refused unless force.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    if must_size(n, force):
+        raise FeasibilityError(f"order-{n} reduced-square search exceeds the bound {UNSIZED_ORDER}; force lifts it")
     if n == 1:
         return iter([((1,),)])
     symbols = [(1 << s, s) for s in range(1, n + 1)]
@@ -637,8 +649,4 @@ def reduced_squares(n: int) -> Iterator[Grid]:
 
 def count_reduced_squares(n: int) -> int:
     """Number of reduced squares R_n, from reduced_squares; n! (n-1)! R_n is the full count."""
-    if n > REDUCED_SEARCH_BOUND:
-        raise FeasibilityError(
-            f"reduced-square search at order {n} exceeds the bound {REDUCED_SEARCH_BOUND}"
-        )
     return sum(1 for _ in reduced_squares(n))

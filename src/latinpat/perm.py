@@ -14,13 +14,17 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, inf, isqrt
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
 #: permutations longer than this are refused by the brute-force counters
 BRUTE_FORCE_BOUND = 9
+
+
+class FeasibilityError(Exception):
+    """A request would take more work than its feasibility bound allows."""
 
 
 def is_perm(entries: Sequence[int]) -> bool:
@@ -212,21 +216,28 @@ class PrefixAutomaton:
         return state
 
 
-def prefix_automaton(n: int, patterns: Iterable[Sequence[int]]) -> PrefixAutomaton:
+def prefix_automaton(n: int, patterns: Iterable[Sequence[int]], max_work: float = inf) -> PrefixAutomaton:
     """
     Compile the prefixes of the permutations of 1..n that avoid every
     pattern, by one depth-first pass over the distinct-symbol prefixes that
     avoid them.  A prefix lives iff it avoids the patterns and one of its
     extensions lives; a full-length prefix that avoids them lives.  The pass
     reaches a prefix only through its parent, which avoids every pattern, so
-    only the occurrences that end at the new last entry are tested.
+    only the occurrences that end at the new last entry are tested.  It
+    counts n cell placements for each prefix it reaches, and raises
+    FeasibilityError once they pass max_work.
     """
     patterns = [tuple(p) for p in patterns]
     dead_row = (DEAD,) * (n + 1)
     rows = [dead_row, dead_row]  # DEAD, then the state of a complete avoider
     ids: dict[tuple[int, ...], int] = {}
+    left = max_work
 
     def state(prefix: tuple[int, ...]) -> int:
+        nonlocal left
+        left -= n
+        if left < 0:
+            raise FeasibilityError(f"order-{n} compile passed its bound of {max_work:,} cell placements")
         if any(_ends_at_last(prefix, p) for p in patterns):
             return DEAD
         if len(prefix) == n:

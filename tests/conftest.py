@@ -218,3 +218,13 @@ def squares3():
 @pytest.fixture(scope="session")
 def squares4():
     return collect_squares(4)
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Set enumeration's WORK_BUDGET and STATE_BUDGET both to one value, for one test."""
+    def cut(value):
+        monkeypatch.setattr(enumeration, "WORK_BUDGET", value)
+        monkeypatch.setattr(enumeration, "STATE_BUDGET", value)
+
+    return cut

@@ -85,9 +85,19 @@ def test_lambda_exhaustive_bound_tight_at_4():
     assert report.exact_value == 3
 
 
-def test_lambda_exhaustive_refuses_large_order():
+def test_lambda_exhaustive_refuses_large_order(budgets):
+    # order 7 is sized; with the budgets cut to 10,000 it is refused at
+    # once (with the real budgets, at m = 4, about 10 s in)
+    budgets(10_000)
     with pytest.raises(FeasibilityError):
-        compute_lambda_exhaustive(6)
+        compute_lambda_exhaustive(7)
+
+
+def test_lambda_exhaustive_order6():
+    # order 6 runs unsized: λ(6) = 3, the lower bound
+    report = compute_lambda_exhaustive(6)
+    assert (report.lower_bound, report.exact_value) == (3, 3)
+    assert max_monotone(report.witness) == 3
 
 
 def _cli_lambda(capsys, n, jobs):
@@ -296,12 +306,15 @@ def test_wilf_trivial_pattern():
 
 
 def test_wilf_feasibility_box():
-    # the filter's order bound is the reduced-square search's, pruned's is 5
+    # the filter's reduced-square search cannot be sized, so it stops at
+    # order 6; pruned mode's counts are sized, and order 7 passes their
+    # budgets; both modes stop at pattern length 4
     assert wilf_classes(4, 6).counts[(1, 2, 3, 4)] == 4283222
-    with pytest.raises(FeasibilityError):
-        wilf_classes(4, 6, mode="pruned")
-    with pytest.raises(FeasibilityError):
-        wilf_classes(5, 5)
+    for mode in ("filter", "pruned"):
+        with pytest.raises(FeasibilityError):
+            wilf_classes(4, 7, mode=mode)
+        with pytest.raises(FeasibilityError):
+            wilf_classes(5, 5, mode=mode)
 
 
 def test_wilf_report_serialization():

@@ -225,8 +225,11 @@ def test_lambda_bounds_with_witness(capsys):
     assert payload["exact_value"] == 4
 
 
-def test_lambda_exhaustive_refusal(capsys):
-    assert run(capsys, "lambda", "--order", "6", "--exhaustive")[0] == 3
+def test_lambda_exhaustive_refusal(capsys, budgets):
+    # order 7 is sized; with the budgets cut to 10,000 it is refused at
+    # once (with the real budgets, about 10 s in), before any stdout
+    budgets(10_000)
+    assert run(capsys, "lambda", "--order", "7", "--exhaustive", "--no-cache")[:2] == (3, "")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +255,12 @@ def test_wilf_trivial_pattern(capsys):
 
 
 def test_wilf_feasibility(capsys):
-    # order 6 is inside the filter's box and outside pruned's
+    # the filter stops at order 6, pruned mode's counts are sized, and both
+    # stop at pattern length 4
     assert run(capsys, "wilf", "--length", "4", "--order", "6", "--mode", "filter")[0] == 0
-    assert run(capsys, "wilf", "--length", "4", "--order", "6", "--mode", "pruned")[0] == 3
+    for mode in ("filter", "pruned"):
+        assert run(capsys, "wilf", "--length", "4", "--order", "7", "--mode", mode, "--no-cache")[:2] == (3, "")
+        assert run(capsys, "wilf", "--length", "5", "--order", "5", "--mode", mode, "--no-cache")[:2] == (3, "")
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +651,17 @@ def test_wilf_starts_no_pool(capsys, monkeypatch):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["num_classes"] == 8
+
+
+def test_enumerate_refusal_starts_no_process(capsys, monkeypatch):
+    # an order-7 walk is sized by its sweep before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("enumerate started a worker process")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    code, out, err = run(capsys, "enumerate", "--order", "7", "--jobs", "2")
+    assert (code, out) == (3, "")
+    assert "bound" in err
 
 
 def test_cli_import_loads_no_process_modules():

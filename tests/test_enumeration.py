@@ -281,9 +281,9 @@ def test_each_distinct_line_set_compiles_once(monkeypatch):
     calls = [0]
     compile_ = enumeration.prefix_automaton
 
-    def counted(n, patterns):
+    def counted(n, patterns, max_work=math.inf):
         calls[0] += 1
-        return compile_(n, patterns)
+        return compile_(n, patterns, max_work=max_work)
 
     monkeypatch.setattr(enumeration, "prefix_automaton", counted)
 
@@ -580,12 +580,15 @@ def test_first_row_walks_concatenate_to_the_whole(spec):
 # feasibility bounds
 # ---------------------------------------------------------------------------
 
-def test_unrestricted_bound_refusal():
+def test_unrestricted_bound_refusal(budgets):
     with pytest.raises(FeasibilityError):
         count_squares(7)
+    # force lifts the sizing: with the budgets cut, a sized order-7 count is
+    # refused and a forced one answers
+    budgets(10_000)
     with pytest.raises(FeasibilityError):
-        count_squares(2, max_order=1)
-    assert count_squares(2, max_order=2).count == 2
+        count_squares(7, AvoidanceSpec.both((1, 2, 3)))
+    assert count_squares(7, AvoidanceSpec.both((1, 2, 3)), force=True).count == 7
 
 
 def test_pruned_enumeration_allows_larger_orders():
@@ -594,12 +597,41 @@ def test_pruned_enumeration_allows_larger_orders():
     assert count_squares(7, AvoidanceSpec.both((1, 2))).count == 0
 
 
-def test_symbol_only_spec_counts_as_unrestricted():
-    # symbol lines prune the search, but a symbol-only count equals the
-    # rows-only count of the same pattern, whose tree this gate cannot size,
-    # so such specs keep the unrestricted bound
-    with pytest.raises(FeasibilityError):
-        count_squares(7, AvoidanceSpec(symbol_patterns=((1, 2, 3),)))
+def test_symbol_only_spec_is_sized():
+    # a symbol-only spec is sized by its sweep like any other, not refused
+    # by its order: no symbol line of order 7 avoids 12
+    assert count_squares(7, AvoidanceSpec(symbol_patterns=((1, 2),))).count == 0
+
+
+def test_refusal_follows_the_measured_size(budgets):
+    # with both budgets cut to 10,000, the unrestricted order-7 count, the
+    # full-length pattern at order 8 and remark 4 at order 12 are refused,
+    # while both(12) at order 8, whose compile and sweep stay small, answers
+    budgets(10_000)
+    full_length = AvoidanceSpec.both(tuple(range(1, 9)))
+    for search, where in ((lambda: count_squares(7), "sweep"), (lambda: count_squares(8, full_length), "compile"),
+                          (lambda: analysis.verify_cyclic_structure(12), "compile")):
+        with pytest.raises(FeasibilityError, match=where):
+            search()
+    assert count_squares(8, AvoidanceSpec.both((1, 2))).count == 0
+
+
+def test_each_budget_refuses_alone(monkeypatch):
+    # both(123) at order 7 compiles in 35,826 placements, sweeps in 131,373
+    # and holds at most 429 keys in a layer, so either budget alone, cut
+    # below the sweep's figure, refuses it in the sweep
+    spec = AvoidanceSpec.both((1, 2, 3))
+    for budget, value in (("WORK_BUDGET", 100_000), ("STATE_BUDGET", 100)):
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, budget, value)
+            with pytest.raises(FeasibilityError, match="sweep"):
+                count_squares(7, spec)
+
+
+def test_orders_up_to_6_are_unsized(budgets):
+    budgets(1)
+    assert count_squares(5).count == 161280
+    assert count_squares(6, AvoidanceSpec.both((1, 2, 3))).count == 6
 
 
 def test_invalid_order():

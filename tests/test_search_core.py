@@ -11,7 +11,7 @@ import pytest
 
 from latinpat import cli
 from latinpat.enumeration import count_squares, enumerate_squares, render_squares
-from latinpat.perm import DEAD, prefix_automaton
+from latinpat.perm import DEAD, FeasibilityError, prefix_automaton
 from latinpat.square import EMPTY_SPEC, AvoidanceSpec
 
 from conftest import S3, S4, monotone_pair, naive_contains, perms, reference_prefix_automaton
@@ -47,6 +47,15 @@ def test_monotone_pair_automaton_equals_reference_compile(m):
     patterns = monotone_pair(m)
     for n in range(1, 8):
         assert prefix_automaton(n, patterns) == reference_prefix_automaton(n, patterns), n
+
+
+def test_prefix_automaton_work_bound():
+    # the compile counts n cell placements for each prefix it reaches: with
+    # no pattern at order 3 it reaches the 1 + 3 + 6 + 6 distinct-symbol
+    # prefixes, 48 placements, so a bound of 47 refuses it and 48 does not
+    assert prefix_automaton(3, [], max_work=48) == prefix_automaton(3, [])
+    with pytest.raises(FeasibilityError):
+        prefix_automaton(3, [], max_work=47)
 
 
 # every pattern the cross-checks use, one bit each
