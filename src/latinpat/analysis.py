@@ -30,7 +30,6 @@ from .perm import Perm
 from .square import (
     EMPTY_SPEC,
     AvoidanceSpec,
-    Grid,
     LatinSquare,
     max_monotone,
     square_to_json,
@@ -231,18 +230,6 @@ def _line_mask(line: tuple[int, ...], k: int, bit_of: dict[Perm, int]) -> int:
     return m
 
 
-def _grid_mask(g: Grid, k: int, bit_of: dict[Perm, int], cache: dict) -> int:
-    """Bitmask (bits from bit_of) of the length-k patterns some row or column of g contains."""
-    m = 0
-    for lines in (g, zip(*g)):
-        for line in lines:
-            lm = cache.get(line)
-            if lm is None:
-                lm = cache[line] = _line_mask(line, k, bit_of)
-            m |= lm
-    return m
-
-
 def _avoiding_orders(line: tuple[int, ...], orders: list[tuple[int, ...]], masks: dict, num: int) -> tuple[int, ...]:
     """
     For each of the num pattern bits b, the orders (bit t for orders[t])
@@ -398,25 +385,21 @@ def verify_triple_containment(n: int) -> dict:
     avoids another, so only the squares avoiding some length-3 pattern in
     rows and columns are tested.  Their union is walked pattern by pattern,
     all six (equal avoider counts within a triple are what is being
-    checked, not assumed), and tested in row-major lexicographic order, the
-    row walk's own; the number of squares comes from the sweep.
+    checked, not assumed), and each is tested with perm.contains over its
+    2n lines, in row-major lexicographic order, the row walk's own; the
+    number of squares comes from the sweep.
     """
     squares = count_squares(n, EMPTY_SPEC).count
-    bit_of = _pattern_bits(3)
     candidates = set()
-    for p in bit_of:
+    for p in itertools.permutations((1, 2, 3)):
         candidates.update(sq.grid for sq in enumerate_squares(n, AvoidanceSpec.both(p)))
-    cache: dict = {}
-    triples = []
-    for triple in (((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3), (3, 2, 1))):
-        bits = tuple(bit_of[p] for p in triple)
-        triples.append((bits, sum(1 << b for b in bits)))
     bad: list = []
     for g in sorted(candidates):
-        m = _grid_mask(g, 3, bit_of, cache)
-        for bits, mask in triples:
-            if m & mask not in (0, mask) and len(bad) < 5:
-                bad.append({"grid": [list(r) for r in g], "flags": [(m >> b) & 1 for b in bits]})
+        lines = g + tuple(zip(*g))
+        for triple in (((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3), (3, 2, 1))):
+            flags = [int(any(perm.contains(line, p) for line in lines)) for p in triple]
+            if 0 < sum(flags) < 3 and len(bad) < 5:
+                bad.append({"grid": [list(r) for r in g], "flags": flags})
     return {"order": n, "squares": squares, "violations": bad, "ok": not bad}
 
 

@@ -134,7 +134,6 @@ class CacheStore:
     """
 
     def __init__(self, directory: Path):
-        directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / CACHE_FILE
 
     def lookup(self, key: dict) -> dict | None:
@@ -169,6 +168,9 @@ class CacheStore:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         line = (json.dumps(entry, sort_keys=True) + "\n").encode()
+        # the directory is made here, at the first entry, so a command that
+        # fails before it computes anything leaves no directory behind
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         # unbuffered, so the entry goes out in one write; a file whose last
         # line was torn by a writer that died gets the entry on a new line
         with self.path.open("ab+", buffering=0) as fh:

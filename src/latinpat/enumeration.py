@@ -32,22 +32,18 @@ Two engines expand the same keys:
   once.  reduced_squares, which feeds the Wilf filter, shares neither.
 
 A node is a cell placement that passed the occupancy masks, counted before
-the automaton check, so nodes_explored counts the placements tried below
-live prefixes, once for each partial square they extend.  The walk adds a
-state's stored nodes on every visit and the sweep adds them once per
-partial square reaching the state, so both give what a cell-by-cell search
-from the root counts.
+the automaton check.  The sweep's nodes_explored adds each state's
+fill_row nodes once per partial square reaching it, so it counts what a
+cell-by-cell search from the root counts.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
-The walk is a generator that yields each grid and returns its nodes, so a
-consumer may stop at any square.  enumerate_squares is an iterator over one
-walk, or over one first-row task of it.  render_squares splits its walk
-into first-row tasks: a task is a first row, as a tuple, that the root's
-fill_row lets through, whatever the worker count.  A task walks the squares
-with that first row, and its nodes are the ones below it, so the first
-row's search plus every task's nodes give the unsplit walk's.  map_tasks
-runs the tasks, in worker processes when jobs > 1, each of which streams
+The walk is a generator of grids, so a consumer may stop at any square.
+enumerate_squares is an iterator over one walk, or over one first-row task
+of it.  render_squares splits its walk into first-row tasks: a task is a
+first row, as a tuple, that the root's fill_row lets through, whatever the
+worker count; it walks the squares with that first row.  map_tasks runs
+the tasks, in worker processes when jobs > 1, each of which streams
 its tasks' pieces down its own pipe, and yields the pieces in task order,
 so every output is the same for any worker count.  The automata and the row
 table are built once per call; a worker process gets them once and grows
@@ -64,7 +60,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import inf
-from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .perm import DEAD, FeasibilityError, PrefixAutomaton, as_perm, prefix_automaton
 from .square import (
@@ -193,9 +189,9 @@ class Automata:
     automaton state, width bits per column, into its low col_bits bits,
     and each symbol line's automaton state above them (sym_mask bits at the
     shift sym_steps gives); root is the key before row 0.  The row table
-    maps the key at the start of a row to one flat tuple (nodes, row, next,
-    row, next, ...): the nodes fill_row counted from that key, then each
-    row it let through, in increasing order, with the key it leads to.
+    maps the key at the start of a row to one flat tuple (row, next, row,
+    next, ...): each row fill_row let through from that key, in increasing
+    order, with the key it leads to.
     _run_search fills it on first visit, up to ROW_TABLE_BUDGET keys, and a
     first-row task picks its row out of the root's entry.  keys holds the
     one object kept for each distinct next key, and row_cells[(key ^ next)
@@ -302,8 +298,8 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     Count by the transfer-matrix method: (squares, nodes).  Layer i maps
     each key after i rows to the number of partial squares that reach it.
     Each key is expanded once by fill_row, and nodes adds that search's
-    nodes once per partial square, so it equals the row walk's
-    nodes_explored.  A sized sweep raises FeasibilityError once fill_row's
+    nodes once per partial square, so it equals a cell-by-cell search's
+    from the root.  A sized sweep raises FeasibilityError once fill_row's
     nodes, each key's once, pass WORK_BUDGET or a layer STATE_BUDGET keys.
     """
     n = auto.n
@@ -329,24 +325,18 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     return sum(layer.values()), nodes
 
 
-def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Generator[Grid, None, int]:
+def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Iterator[Grid]:
     """
-    The row walk over auto's order and spec.  Yields each square's grid, in
-    lexicographic order, and returns its nodes when exhausted
-    (StopIteration.value).  Walks that share auto share its row table.
-
-    A node is a cell placement that passed the occupancy masks, counted
-    before the automaton check.  With first_row given (a tuple), the walk
-    is one first-row task: it visits only the squares with that first row,
-    and its nodes leave out the first row's own search, so the root's
-    fill_row nodes plus every task's nodes are the unsplit walk's.
+    The row walk over auto's order and spec: yields each square's grid, in
+    lexicographic order.  With first_row given (a tuple), the walk is one
+    first-row task and visits only the squares with that first row.  Walks
+    that share auto share its row table.
 
     The grid is walked a whole row at a time, on an explicit stack of one
     iterator of row positions per row.  fill_row finds the rows that can
-    follow a key, the key each leads to, and the nodes it counted.  The
-    first visit to a key stores that, with each row decoded, in the row
-    table; later visits add the stored nodes and loop over the stored rows,
-    so nodes_explored is the same as a cell-by-cell search's.
+    follow a key and the key each leads to.  The first visit to a key
+    stores them, with each row decoded, in the row table; later visits
+    loop over the stored rows.
     """
     n = auto.n
     table, key_objs = auto.table, auto.keys
@@ -357,25 +347,22 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Gen
     # positions in it of the rows still to try
     entries: list = [None] * n
     picks: list = [None] * n
-    nodes = 0
     i, key = 0, auto.root
     while i >= 0:
         if key is not None:
             # the walk has just reached row i at key
             entry = table.get(key)
             if entry is None:
-                # [nodes, row, next, row, next, ...]
-                found = fill_row(auto, key)
-                entry = [found[0]]
-                for nxt in islice(found, 1, None):
+                # [row, next, row, next, ...]
+                entry = []
+                for nxt in islice(fill_row(auto, key), 1, None):
                     entry += (cells_of[(key ^ nxt) & free_bits], nxt)
                 if len(table) < ROW_TABLE_BUDGET:
-                    for k in range(2, len(entry), 2):
+                    for k in range(1, len(entry), 2):
                         entry[k] = key_objs.setdefault(entry[k], entry[k])
                     entry = table[key] = tuple(entry)
             if i or first_row is None:
-                nodes += entry[0]
-                picks[i] = iter(range(1, len(entry), 2))
+                picks[i] = iter(range(0, len(entry), 2))
             else:
                 # a first-row task: that row only, or none if fill_row dropped it
                 picks[i] = iter((entry.index(first_row),) if first_row in entry else ())
@@ -390,7 +377,6 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Gen
                 break
         else:
             i -= 1
-    return nodes
 
 
 #: most squares _render_worker renders into one piece of text: enough to
@@ -548,9 +534,9 @@ def count_squares(
     """
     Count order-n Latin squares satisfying the avoidance spec, by a forward
     sweep over row layers in this process (_sweep), sized unless force.
-    nodes_explored is the row walk's, from the root: the cell placements
-    that passed the occupancy masks, counted once per partial square they
-    extend.  progress(rows_done, rows_total, states) follows each row layer.
+    nodes_explored is the sweep's: the cell placements that passed the
+    occupancy masks, counted once per partial square they extend.
+    progress(rows_done, rows_total, states) follows each row layer.
     """
     _, (count, nodes) = _sized_search(n, spec, force, walk=False, progress=progress)
     return CountResult(n, spec, count, nodes)

@@ -195,17 +195,6 @@ S3 = perms(3)
 S4 = perms(4)
 
 
-def walk_stats(grids):
-    """(squares, nodes) of a row walk: the grids it yields, then the nodes it returns."""
-    squares = 0
-    while True:
-        try:
-            next(grids)
-        except StopIteration as stop:
-            return squares, stop.value
-        squares += 1
-
-
 def collect_squares(n, spec=EMPTY_SPEC):
     return list(enumeration.enumerate_squares(n, spec))
 

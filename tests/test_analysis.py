@@ -341,11 +341,9 @@ def test_triple_containment_small_orders():
 
 
 def test_triple_containment_reports_a_split_triple(monkeypatch):
-    # no square splits a triple, so fake a line mask holding 123 and 132
-    # alone: each square then splits both triples
-    bit_of = analysis._pattern_bits(3)
-    mask = (1 << bit_of[(1, 2, 3)]) | (1 << bit_of[(1, 3, 2)])
-    monkeypatch.setattr(analysis, "_grid_mask", lambda g, k, bits, cache: mask)
+    # no square splits a triple, so fake a containment test that finds 123
+    # and 132 alone: each square then splits both triples
+    monkeypatch.setattr(analysis.perm, "contains", lambda line, p: p in {(1, 2, 3), (1, 3, 2)})
     report = verify_triple_containment(3)
     assert report["squares"] == 12 and not report["ok"]
     assert [v["flags"] for v in report["violations"]] == [[1, 0, 0], [1, 0, 0]] * 2 + [[1, 0, 0]]
@@ -365,12 +363,10 @@ def test_triple_containment_counts_all_order5_squares():
 
 
 def test_triple_containment_tests_candidates_in_order_once(monkeypatch):
-    # fake a line mask holding 123 and 321 alone: every square then splits
-    # both triples, so the report shows which squares were tested, in what
-    # order, and how often
-    bit_of = analysis._pattern_bits(3)
-    mask = (1 << bit_of[(1, 2, 3)]) | (1 << bit_of[(3, 2, 1)])
-    monkeypatch.setattr(analysis, "_grid_mask", lambda g, k, bits, cache: mask)
+    # fake a containment test that finds 123 and 321 alone: every square
+    # then splits both triples, so the report shows which squares were
+    # tested, in what order, and how often
+    monkeypatch.setattr(analysis.perm, "contains", lambda line, p: p in {(1, 2, 3), (3, 2, 1)})
     candidates = naive_length3_avoiders(4)
     assert len(candidates) == 8
     # the first candidates avoid several patterns each, so a union without

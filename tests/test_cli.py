@@ -395,6 +395,16 @@ def test_cache_round_trip(tmp_path, capsys):
     assert "timestamp" in entry and "tool_version" not in entry
 
 
+def test_cache_dir_made_only_when_an_entry_is_stored(tmp_path, capsys):
+    # bad input exits 2 before anything is computed, so no cache directory
+    directory = tmp_path / "D"
+    for argv in (["count", "--order", "0"], ["wilf", "--length", "0", "--order", "3"]):
+        assert run(capsys, *argv, "--cache-dir", str(directory))[0] == 2
+        assert not directory.exists()
+    assert run(capsys, "count", "--order", "3", "--cache-dir", str(directory))[0] == 0
+    assert (directory / "cache.jsonl").exists()
+
+
 def test_cache_verify_ok_and_tampered(tmp_path, capsys):
     args = ["count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path)]
     run(capsys, *args)

@@ -32,7 +32,7 @@ from latinpat.square import (
     latin_square,
 )
 
-from conftest import S3, S4, collect_squares, naive_squares, perms, walk_stats
+from conftest import S3, S4, collect_squares, naive_squares, perms
 
 
 # ---------------------------------------------------------------------------
@@ -164,30 +164,22 @@ def test_visitor_order_is_lexicographic(squares3):
 
 
 def _walk_task(first_row: tuple, automata: enumeration.Automata):
-    yield walk_stats(_run_search(automata, first_row))
+    yield sum(1 for _ in _run_search(automata, first_row))
 
 
 def walk_count(n, spec, jobs=1):
     """
-    (count, nodes) by the row walk split at the first row, as scans run:
-    one Automata, the root's row search, then one task per first row, the
-    root's nodes plus the tasks' summed in task order.
+    The number of squares the row walk yields split at the first row, as
+    scans run: one Automata, then one task per first row, summed in task
+    order.
     """
     automata = enumeration.Automata(n, spec)
-    nodes = fill_row(automata, automata.root)[0]
     tasks = enumeration._first_row_tasks(automata)
-    count = 0
-    for c, nd in map_tasks(partial(_walk_task, automata=automata), tasks, jobs):
-        count += c
-        nodes += nd
-    return count, nodes
+    return sum(map_tasks(partial(_walk_task, automata=automata), tasks, jobs))
 
 
 def test_parallel_count_matches_serial():
-    serial = walk_count(4, EMPTY_SPEC)
-    parallel = walk_count(4, EMPTY_SPEC, jobs=4)
-    assert parallel[0] == serial[0] == 576
-    assert parallel[1] == serial[1]
+    assert walk_count(4, EMPTY_SPEC, jobs=4) == walk_count(4, EMPTY_SPEC) == 576
 
 
 @pytest.mark.parametrize("n,spec,cli_args,nodes", [
@@ -207,8 +199,8 @@ def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, 
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
 
 
-# (count, (nodes_explored, first-row nodes)) of the row walk at order 5:
-# the whole walk's nodes, recorded from the cell-by-cell engine, except that
+# (count, (nodes_explored, first-row nodes)) at order 5: the whole
+# search's nodes, recorded from the cell-by-cell engine, except that
 # specs with symbol patterns read ENGINE_VERSION 3, which steps symbol lines
 # as rows are placed; then the nodes of the first row's own search
 ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
@@ -238,13 +230,13 @@ GOLDEN_4 = [
 
 
 def assert_split_matches_unsplit(n, spec, count, nodes, jobs):
-    # the root's row search plus every first-row task's walk is the
-    # unsplit walk, count and nodes alike
-    whole, first_row = nodes
-    assert walk_stats(_run_search(enumeration.Automata(n, spec))) == (count, whole)
+    # every first-row task's walk together is the unsplit walk; the whole
+    # search's nodes are pinned through the sweep's nodes_explored
+    _, first_row = nodes
     automata = enumeration.Automata(n, spec)
+    assert sum(1 for _ in _run_search(automata)) == count
     assert fill_row(automata, automata.root)[0] == first_row
-    assert walk_count(n, spec, jobs) == (count, whole)
+    assert walk_count(n, spec, jobs) == count
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -262,7 +254,7 @@ def test_golden_counts_and_nodes_order_4(spec, count, nodes):
 @pytest.mark.parametrize("n,spec,count,nodes", [(5, *g) for g in GOLDEN_5] + [(4, *g) for g in GOLDEN_4])
 def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
     # the sweep adds each state's row-search nodes once per partial square
-    # reaching it, which is what the unsplit walk counts
+    # reaching it, which is what the cell-by-cell engine counted
     result = count_squares(n, spec)
     assert (result.count, result.nodes_explored) == (count, nodes[0])
 
@@ -293,7 +285,7 @@ def test_each_distinct_line_set_compiles_once(monkeypatch):
         return calls[0]
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    assert compiles(lambda: walk_stats(_run_search(enumeration.Automata(5, spec)))) == 1
+    assert compiles(lambda: list(_run_search(enumeration.Automata(5, spec)))) == 1
     assert compiles(lambda: walk_count(5, spec)) == 1
     auto = enumeration.Automata(5, spec)
     assert auto.row is auto.col
@@ -325,7 +317,7 @@ def test_one_row_table_per_call(monkeypatch):
         return len(made[0].table)
 
     spec = AvoidanceSpec.both((1, 2, 3, 4))
-    unsplit = entries_built(lambda: walk_stats(_run_search(enumeration.Automata(5, spec))))
+    unsplit = entries_built(lambda: list(_run_search(enumeration.Automata(5, spec))))
     assert entries_built(lambda: walk_count(5, spec)) == unsplit > 0
     # the Wilf filter takes its reduced squares from reduced_squares, not the engine
     made.clear()
@@ -334,11 +326,14 @@ def test_one_row_table_per_call(monkeypatch):
 
 
 def test_row_table_budget_keeps_answers(monkeypatch):
-    # states past the budget are searched again on each visit, not stored
+    # states past the budget are searched again on each visit, not stored,
+    # and the walk yields the same squares in the same order
+    spec, count, _ = GOLDEN_5[1]
+    uncapped = list(_run_search(enumeration.Automata(5, spec)))
+    assert len(uncapped) == count
     monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
-    spec, count, nodes = GOLDEN_5[1]
     automata = enumeration.Automata(5, spec)
-    assert walk_stats(_run_search(automata)) == (count, nodes[0])
+    assert list(_run_search(automata)) == uncapped
     assert len(automata.table) == 50
 
 
@@ -519,7 +514,7 @@ def test_partition_first_row():
 def test_partition_counts_sum(depth):
     spec = AvoidanceSpec.columns_only((1, 2, 3))
     per_task = [len(list(enumerate_squares(4, spec, first_row=t))) for t in partition_tasks(4, spec, depth)]
-    assert sum(per_task) == count_squares(4, spec).count == walk_count(4, spec)[0] == 24
+    assert sum(per_task) == count_squares(4, spec).count == walk_count(4, spec) == 24
 
 
 def test_partition_prefixes_consistent():
