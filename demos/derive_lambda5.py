@@ -13,23 +13,24 @@ below has no line monotone beyond 3, capping it from above.
 """
 import time
 
-from latinpat import compute_lambda_exhaustive, lambda_lower_bound, max_monotone, serialize_square
+from latinpat import LatinSquare, compute_lambda_exhaustive, lambda_lower_bound, max_monotone, serialize_square
 
 t0 = time.perf_counter()
 report = compute_lambda_exhaustive(5)
 elapsed = time.perf_counter() - t0
+witness = LatinSquare(report["witness"]["grid"])
 
-print(f"order-5 minimax of max line-monotone length: {report.exact_value}")
+print(f"order-5 minimax of max line-monotone length: {report['exact_value']}")
 print(f"(pruned existence search over order-5 squares, {elapsed:.3f}s)\n")
 
 print("lexicographically first square attaining it:")
-print(serialize_square(report.witness))
+print(serialize_square(witness))
 
 lower = lambda_lower_bound(5)
-cap = max_monotone(report.witness)
+cap = max_monotone(witness)
 print(f"certification: lower bound {lower} <= value <= witness cap {cap}")
-assert lower == report.exact_value == cap == 3
+assert lower == report["exact_value"] == cap == 3
 
 print("\nvalues for the orders where the search is allowed:")
 for n in (2, 3, 4, 5):
-    print(f"  order {n}: {compute_lambda_exhaustive(n).exact_value}")
+    print(f"  order {n}: {compute_lambda_exhaustive(n)['exact_value']}")

@@ -24,8 +24,8 @@ print(f"  {row}\n")
 print("exact values by pruned existence search:")
 for n in (2, 3, 4, 5):
     report = compute_lambda_exhaustive(n)
-    tight = "tight" if report.exact_value == report.lower_bound else "bound not tight"
-    print(f"  order {n}: {report.exact_value}  (lower bound {report.lower_bound}, {tight})")
+    tight = "tight" if report["exact_value"] == report["lower_bound"] else "bound not tight"
+    print(f"  order {n}: {report['exact_value']}  (lower bound {report['lower_bound']}, {tight})")
 
 print("\nthe order-9 modular square:")
 sq = connolly_square(3)
@@ -36,7 +36,7 @@ print("so together with the lower bound the order-9 value is exactly 4.\n")
 print("bound reports at perfect squares:")
 for n in (9, 16, 25):
     r = lambda_bound_report(n)
-    print(f"  order {n}: lower {r.lower_bound}, witness cap {r.witness_cap} -> exact {r.exact_value}")
+    print(f"  order {n}: lower {r['lower_bound']}, witness cap {r['witness_cap']} -> exact {r['exact_value']}")
 
 r = lambda_bound_report(12)
-print(f"  order 12: lower {r.lower_bound}, no witness -> interval [{r.lower_bound}, ?]")
+print(f"  order 12: lower {r['lower_bound']}, no witness -> interval [{r['lower_bound']}, ?]")

@@ -11,22 +11,22 @@ The counts come from the reduced squares (first row and first column in
 natural order), each multiplied out over its row and column orders: 56
 reduced squares stand for all 161280 at order 5.
 """
+import latinpat.cli
 from latinpat import wilf_classes
-from latinpat.analysis import wilf_csv
 
 print("length 3 at order 4: one class")
 report = wilf_classes(3, 4)
-for count, members in report.classes:
-    print(f"  count {count}: {', '.join(''.join(map(str, p)) for p in members)}")
+for cls in report["classes"]:
+    print(f"  count {cls['count']}: {', '.join(cls['patterns'])}")
 
 print("\nlength 4 at order 4: full-length patterns all relabel into each other")
 report = wilf_classes(4, 4)
-for count, members in report.classes:
-    print(f"  count {count}: {len(members)} patterns")
+for cls in report["classes"]:
+    print(f"  count {cls['count']}: {len(cls['patterns'])} patterns")
 
 print("\nlength 4 at order 5: the eight classes")
 report = wilf_classes(4, 5)
-for count, members in report.classes:
-    print(f"  count {count}: {', '.join(''.join(map(str, p)) for p in members)}")
+for cls in report["classes"]:
+    print(f"  count {cls['count']}: {', '.join(cls['patterns'])}")
 print("\nCSV form:")
-print(wilf_csv(report.to_json()))
+latinpat.cli.main(["wilf", "--length", "4", "--order", "5", "--format", "csv", "--no-cache"])

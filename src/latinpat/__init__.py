@@ -11,8 +11,6 @@ brute-force oracles at small orders back every fast path.
 __version__ = "0.1.0"
 
 from .analysis import (
-    LambdaReport,
-    WilfReport,
     compute_lambda_exhaustive,
     full_length_count,
     lambda_bound_report,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
 from operator import and_
@@ -41,84 +40,6 @@ WILF_MAX_PATTERN_LENGTH = 4
 
 
 # ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WilfReport:
-    pattern_length: int
-    order: int
-    counts: dict[Perm, int]
-    classes: tuple[tuple[int, tuple[Perm, ...]], ...]
-    mode: str
-
-    def class_id(self, pattern: Perm) -> int:
-        for cid, (_, members) in enumerate(self.classes, start=1):
-            if pattern in members:
-                return cid
-        raise KeyError(pattern)
-
-    def to_json(self) -> dict:
-        return {
-            "pattern_length": self.pattern_length,
-            "order": self.order,
-            "mode": self.mode,
-            "num_classes": len(self.classes),
-            "counts": {"".join(map(str, p)): c for p, c in sorted(self.counts.items())},
-            "classes": [
-                {"count": c, "patterns": ["".join(map(str, p)) for p in members]}
-                for c, members in self.classes
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class LambdaReport:
-    order: int
-    lower_bound: int
-    exact_value: int | None
-    witness: LatinSquare | None
-    method: str  # "exhaustive" | "bound-only" | "witness-capped"
-
-    @property
-    def witness_cap(self) -> int | None:
-        return max_monotone(self.witness) if self.witness is not None else None
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "lower_bound": self.lower_bound,
-            "exact_value": self.exact_value,
-            "witness_cap": self.witness_cap,
-            "method": self.method,
-            "witness": square_to_json(self.witness) if self.witness else None,
-        }
-
-
-def wilf_csv(d: dict) -> str:
-    """CSV of a WilfReport.to_json() dict: one row per pattern with its class id."""
-    class_of = {}
-    for cid, cls in enumerate(d["classes"], start=1):
-        for p in cls["patterns"]:
-            class_of[p] = cid
-    lines = ["pattern,count,class_id"]
-    for p in sorted(d["counts"]):
-        lines.append(f"{p},{d['counts'][p]},{class_of[p]}")
-    return "\n".join(lines) + "\n"
-
-
-def lambda_csv(d: dict) -> str:
-    """CSV of a LambdaReport.to_json() dict: a header and one row."""
-    head = "order,lower_bound,exact_value,witness_cap,method"
-    row = (
-        f"{d['order']},{d['lower_bound']},"
-        f"{'' if d['exact_value'] is None else d['exact_value']},"
-        f"{'' if d['witness_cap'] is None else d['witness_cap']},{d['method']}"
-    )
-    return head + "\n" + row + "\n"
-
-
-# ---------------------------------------------------------------------------
 # monotone minimax
 # ---------------------------------------------------------------------------
 
@@ -138,7 +59,20 @@ def lambda_lower_bound(n: int) -> int:
     return m
 
 
-def compute_lambda_exhaustive(n: int) -> LambdaReport:
+def _lambda_report(n: int, lower: int, exact: int | None, method: str,
+                   witness: LatinSquare | None = None, cap: int | None = None) -> dict:
+    """The JSON-ready λ report; cap is the witness's max_monotone, exact is None unless decided."""
+    return {
+        "order": n,
+        "lower_bound": lower,
+        "exact_value": exact,
+        "witness_cap": cap,
+        "method": method,
+        "witness": square_to_json(witness) if witness is not None else None,
+    }
+
+
+def compute_lambda_exhaustive(n: int) -> dict:
     """
     Exact minimax: the smallest max_monotone over all order-n squares, with
     the lexicographically first square attaining it as witness.
@@ -150,7 +84,8 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
     square always exists.  Each search runs in this process and visits
     squares in lexicographic order, so its first square at the least
     feasible m is the witness.  Each search is sized as enumerate_squares
-    sizes it: λ(6) = 3, and order 7 is refused at m = 4.
+    sizes it: λ(6) = 3, and order 7 is refused at m = 4.  Returns a
+    _lambda_report dict.
     """
     lower = lambda_lower_bound(n) if n >= 2 else 1
 
@@ -164,14 +99,14 @@ def compute_lambda_exhaustive(n: int) -> LambdaReport:
         raise AssertionError(
             f"minimax {value} at order {n} is below the proven lower bound {lower}"
         )
-    return LambdaReport(n, lower, value, witness, "exhaustive")
+    return _lambda_report(n, lower, value, "exhaustive", witness, max_monotone(witness))
 
 
-def lambda_bound_report(n: int) -> LambdaReport:
+def lambda_bound_report(n: int) -> dict:
     """
     Bounds without a full scan: the proven lower bound, capped by the
-    modular-square witness when n is a perfect square.  exact_value is set
-    only when the two meet.
+    modular-square witness when n is a perfect square, as a _lambda_report
+    dict.  exact_value is set only when the two meet.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -180,9 +115,8 @@ def lambda_bound_report(n: int) -> LambdaReport:
     if root * root == n and root >= 2:
         witness = connolly_square(root)
         cap = max_monotone(witness)
-        exact = cap if cap == lower else None
-        return LambdaReport(n, lower, exact, witness, "witness-capped")
-    return LambdaReport(n, lower, None, None, "bound-only")
+        return _lambda_report(n, lower, cap if cap == lower else None, "witness-capped", witness, cap)
+    return _lambda_report(n, lower, None, "bound-only")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +184,18 @@ def _avoiding_orders(line: tuple[int, ...], orders: list[tuple[int, ...]], masks
     return tuple(avoid)
 
 
+class _LineBits(dict):
+    """A line -> its _avoiding_orders bitsets over orders; made on first lookup."""
+
+    def __init__(self, orders: list[tuple[int, ...]], masks: dict, num: int):
+        super().__init__()
+        self.orders, self.masks, self.num = orders, masks, num
+
+    def __missing__(self, line: tuple[int, ...]) -> tuple[int, ...]:
+        bits = self[line] = _avoiding_orders(line, self.orders, self.masks, self.num)
+        return bits
+
+
 def _filter_counts(k: int, n: int, force: bool) -> list[int]:
     """
     The number of order-n squares avoiding each length-k pattern (in
@@ -266,19 +212,15 @@ def _filter_counts(k: int, n: int, force: bool) -> list[int]:
     over r's lines of _avoiding_orders bitsets.  The reduced squares come
     from reduced_squares and each line's patterns from pattern_of, so the
     filter shares nothing with the prefix automata, the row walk or the
-    sweep.
+    sweep.  The squares stream: only each distinct line's bitsets are kept.
     """
-    reduced = list(reduced_squares(n, force))
+    reduced = reduced_squares(n, force)
     bit_of = _pattern_bits(k)
     lines = list(itertools.permutations(range(1, n + 1)))
     masks = {line: _line_mask(line, k, bit_of) for line in lines}
-    column_orders = [tuple(s - 1 for s in line) for line in lines]
-    row_orders = [(0,) + t for t in itertools.permutations(range(1, n))]
     num = len(bit_of)
-    rows = {x for g in reduced for x in g}
-    cols = {x for g in reduced for x in zip(*g)}
-    row_bits = {x: _avoiding_orders(x, column_orders, masks, num) for x in rows}
-    col_bits = {x: _avoiding_orders(x, row_orders, masks, num) for x in cols}
+    row_bits = _LineBits([tuple(s - 1 for s in line) for line in lines], masks, num)
+    col_bits = _LineBits([(0,) + t for t in itertools.permutations(range(1, n))], masks, num)
     counts = [0] * num
     for g in reduced:
         alpha = [reduce(and_, ts).bit_count() for ts in zip(*map(row_bits.__getitem__, g))]
@@ -293,7 +235,7 @@ def wilf_classes(
     *,
     mode: str = "filter",
     force: bool = False,
-) -> WilfReport:
+) -> dict:
     """
     Count the avoiders of every length-k pattern at order n and group the
     patterns by equal count.
@@ -303,8 +245,8 @@ def wilf_classes(
     it tests 56 reduced squares in place of 161,280 squares.
     mode="pruned" runs one pruned count per pattern (slower, kept for
     cross-validation), sized as count_squares sizes them; filter mode's
-    search cannot be sized.  Both run in this process.  Classes are
-    reported largest count first.
+    search cannot be sized.  Both run in this process.  Returns a JSON-ready
+    report whose classes run largest count first.
     """
     if k < 1 or n < 1:
         raise ValueError("pattern length and order must be >= 1")
@@ -323,11 +265,17 @@ def wilf_classes(
     by_count: dict[int, list[Perm]] = {}
     for p in patterns:
         by_count.setdefault(counts[p], []).append(p)
-    classes = tuple(
-        (c, tuple(sorted(by_count[c])))
-        for c in sorted(by_count, reverse=True)
-    )
-    return WilfReport(k, n, counts, classes, mode)
+    return {
+        "pattern_length": k,
+        "order": n,
+        "mode": mode,
+        "num_classes": len(by_count),
+        "counts": {"".join(map(str, p)): c for p, c in sorted(counts.items())},
+        "classes": [
+            {"count": c, "patterns": ["".join(map(str, p)) for p in sorted(by_count[c])]}
+            for c in sorted(by_count, reverse=True)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ rectangle pattern in a square), verify {theorem6,corollary6,remark4,es}.
 
 Exit codes: 0 success, 1 internal error or failed verification, 2 invalid
 input, 3 feasibility refusal.  Output goes to stdout as JSON by default
-(`--format table|csv` for humans and spreadsheets); progress and timing
+(`--format table|csv` for humans and spreadsheets); progress and cache
 chatter goes to stderr so stdout stays byte-deterministic: for fixed inputs
-and flags, the output never depends on --jobs.
+and flags, the output never depends on --jobs.  Every report reaches this
+module as one JSON-ready dict, computed or read from the cache, and is
+rendered here in each format.
 
 Counting results can be cached in a JSON-lines file under --cache-dir (or
 $LATINPAT_CACHE_DIR); --no-cache disables it and --verify-cache recomputes
@@ -23,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from contextlib import closing
 from pathlib import Path
 from typing import Callable
@@ -71,8 +72,10 @@ def _is_grid(v) -> bool:
 
 
 def _emit_table(obj, indent: str = "") -> None:
+    # keys in sorted order, as --format json and the cache store them, so a
+    # cache hit prints as its miss did
     if isinstance(obj, dict):
-        for k, v in obj.items():
+        for k, v in sorted(obj.items()):
             if _is_grid(v):
                 sys.stdout.write(f"{indent}{k}:\n")
                 for row in v:
@@ -104,6 +107,29 @@ def _emit(value: dict, fmt: str, csv: Callable[[dict], str] | None = None) -> No
 
 def _count_csv(value: dict) -> str:
     return f"order,count,nodes_explored\n{value['order']},{value['count']},{value['nodes_explored']}\n"
+
+
+def _wilf_csv(d: dict) -> str:
+    """CSV of a wilf_classes dict: one row per pattern with its class id."""
+    class_of = {}
+    for cid, cls in enumerate(d["classes"], start=1):
+        for p in cls["patterns"]:
+            class_of[p] = cid
+    lines = ["pattern,count,class_id"]
+    for p in sorted(d["counts"]):
+        lines.append(f"{p},{d['counts'][p]},{class_of[p]}")
+    return "\n".join(lines) + "\n"
+
+
+def _lambda_csv(d: dict) -> str:
+    """CSV of a lambda report dict: a header and one row."""
+    head = "order,lower_bound,exact_value,witness_cap,method"
+    row = (
+        f"{d['order']},{d['lower_bound']},"
+        f"{'' if d['exact_value'] is None else d['exact_value']},"
+        f"{'' if d['witness_cap'] is None else d['witness_cap']},{d['method']}"
+    )
+    return head + "\n" + row + "\n"
 
 
 def _progress_emitter(args) -> Callable[[int, int, int], None] | None:
@@ -239,13 +265,10 @@ def _add_avoid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser, formats=("json", "csv", "table"),
-                      *, timings: bool = False, progress: bool = False) -> None:
+                      *, progress: bool = False) -> None:
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (affects wall time only, never output)")
-    if timings:
-        p.add_argument("--timings", action="store_true",
-                       help="report elapsed time on stderr")
     if progress:
         p.add_argument("--progress", choices=["json"],
                        help="emit machine-readable progress lines on stderr")
@@ -272,7 +295,6 @@ def _build_spec(args) -> AvoidanceSpec:
 def _cmd_count(args) -> int:
     spec = _build_spec(args)
     progress = _progress_emitter(args)
-    t0 = time.perf_counter()
 
     def compute() -> dict:
         result = count_squares(args.order, spec, force=args.force, progress=progress)
@@ -280,8 +302,6 @@ def _cmd_count(args) -> int:
 
     key = {"op": "count", "order": args.order, "spec": _spec_digest(spec)}
     value = _cached(args, key, compute)
-    if args.timings:
-        sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
     _emit(value, args.format, _count_csv)
     return EXIT_OK
 
@@ -358,10 +378,10 @@ def _cmd_construct_connolly(args) -> int:
 def _cmd_lambda(args) -> int:
     if args.exhaustive:
         key = {"op": "lambda-exhaustive", "order": args.order}
-        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(args.order).to_json())
+        value = _cached(args, key, lambda: analysis.compute_lambda_exhaustive(args.order))
     else:
-        value = analysis.lambda_bound_report(args.order).to_json()
-    _emit(value, args.format, analysis.lambda_csv)
+        value = analysis.lambda_bound_report(args.order)
+    _emit(value, args.format, _lambda_csv)
     return EXIT_OK
 
 
@@ -369,10 +389,10 @@ def _cmd_wilf(args) -> int:
     key = {"op": "wilf", "length": args.length, "order": args.order, "mode": args.mode}
 
     def compute() -> dict:
-        return analysis.wilf_classes(args.length, args.order, mode=args.mode, force=args.force).to_json()
+        return analysis.wilf_classes(args.length, args.order, mode=args.mode, force=args.force)
 
     value = _cached(args, key, compute)
-    _emit(value, args.format, analysis.wilf_csv)
+    _emit(value, args.format, _wilf_csv)
     return EXIT_OK
 
 
@@ -443,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     _add_avoid_flags(p)
     p.add_argument("--force", action="store_true", help="run above order 6 without sizing the search")
-    _add_common_flags(p, timings=True, progress=True)
+    _add_common_flags(p, progress=True)
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_count)
 

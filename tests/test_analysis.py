@@ -9,20 +9,18 @@ from latinpat.analysis import (
     compute_lambda_exhaustive,
     full_length_count,
     lambda_bound_report,
-    lambda_csv,
     lambda_lower_bound,
     verify_cyclic_structure,
     verify_erdos_szekeres,
     verify_full_length_counts,
     verify_triple_containment,
     wilf_classes,
-    wilf_csv,
 )
-from latinpat.cli import main
+from latinpat.cli import _lambda_csv, _wilf_csv, main
 from latinpat.construct import connolly_square
 from latinpat.enumeration import FeasibilityError, count_reduced_squares
 from latinpat.perm import longest_monotone
-from latinpat.square import latin_square, max_monotone
+from latinpat.square import LatinSquare, latin_square, max_monotone, square_to_json
 
 from conftest import (
     S3,
@@ -66,23 +64,23 @@ def test_lower_bound_matches_inversion_small_range():
 def test_lambda_exhaustive_small_orders():
     for n, expected in [(1, 1), (2, 2), (3, 3), (4, 3)]:
         report = compute_lambda_exhaustive(n)
-        assert report.exact_value == expected
-        assert report.method == "exhaustive"
-        assert max_monotone(report.witness) == expected
+        assert report["exact_value"] == report["witness_cap"] == expected
+        assert report["method"] == "exhaustive"
+        assert max_monotone(LatinSquare(report["witness"]["grid"])) == expected
         if n >= 2:
-            assert report.exact_value >= report.lower_bound
+            assert report["exact_value"] >= report["lower_bound"]
 
 
 def test_lambda_exhaustive_bound_is_not_tight_at_3():
     report = compute_lambda_exhaustive(3)
-    assert report.lower_bound == 2
-    assert report.exact_value == 3
+    assert report["lower_bound"] == 2
+    assert report["exact_value"] == 3
 
 
 def test_lambda_exhaustive_bound_tight_at_4():
     report = compute_lambda_exhaustive(4)
-    assert report.lower_bound == 3
-    assert report.exact_value == 3
+    assert report["lower_bound"] == 3
+    assert report["exact_value"] == 3
 
 
 def test_lambda_exhaustive_refuses_large_order(budgets):
@@ -96,8 +94,8 @@ def test_lambda_exhaustive_refuses_large_order(budgets):
 def test_lambda_exhaustive_order6():
     # order 6 runs unsized: λ(6) = 3, the lower bound
     report = compute_lambda_exhaustive(6)
-    assert (report.lower_bound, report.exact_value) == (3, 3)
-    assert max_monotone(report.witness) == 3
+    assert (report["lower_bound"], report["exact_value"]) == (3, 3)
+    assert max_monotone(LatinSquare(report["witness"]["grid"])) == 3
 
 
 def _cli_lambda(capsys, n, jobs):
@@ -106,17 +104,15 @@ def _cli_lambda(capsys, n, jobs):
     return capsys.readouterr().out
 
 
-def _value_and_witness(out):
-    d = json.loads(out)
-    return d["exact_value"], tuple(map(tuple, d["witness"]["grid"]))
+def _value_and_witness(report):
+    return report["exact_value"], tuple(map(tuple, report["witness"]["grid"]))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lambda_exhaustive_matches_naive_minimax(capsys, n, jobs):
-    report = compute_lambda_exhaustive(n)
-    assert (report.exact_value, report.witness.grid) == naive_minimax(n)
-    assert _value_and_witness(_cli_lambda(capsys, n, jobs)) == naive_minimax(n)
+    assert _value_and_witness(compute_lambda_exhaustive(n)) == naive_minimax(n)
+    assert _value_and_witness(json.loads(_cli_lambda(capsys, n, jobs))) == naive_minimax(n)
 
 
 # The lexicographically first order-5 square with no line monotone beyond 3,
@@ -127,14 +123,13 @@ LAMBDA_5_WITNESS = ((1, 2, 5, 4, 3), (3, 1, 4, 5, 2), (5, 3, 1, 2, 4), (4, 5, 2,
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_lambda_exhaustive_order5_witness(capsys, jobs):
-    report = compute_lambda_exhaustive(5)
-    assert (report.exact_value, report.witness.grid) == (3, LAMBDA_5_WITNESS)
-    assert _value_and_witness(_cli_lambda(capsys, 5, jobs)) == (3, LAMBDA_5_WITNESS)
+    assert _value_and_witness(compute_lambda_exhaustive(5)) == (3, LAMBDA_5_WITNESS)
+    assert _value_and_witness(json.loads(_cli_lambda(capsys, 5, jobs))) == (3, LAMBDA_5_WITNESS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lambda_exhaustive_json_same_for_jobs(capsys, n):
-    want = json.dumps(compute_lambda_exhaustive(n).to_json(), sort_keys=True) + "\n"
+    want = json.dumps(compute_lambda_exhaustive(n), sort_keys=True) + "\n"
     assert _cli_lambda(capsys, n, 1) == _cli_lambda(capsys, n, 2) == want
 
 
@@ -158,18 +153,20 @@ def test_witness_caps():
 def test_bound_report_perfect_squares():
     for root in (2, 3, 4):
         report = lambda_bound_report(root * root)
-        assert report.method == "witness-capped"
-        assert report.lower_bound == root + 1
-        assert report.exact_value == root + 1
-        assert report.witness_cap == root + 1
+        assert report["method"] == "witness-capped"
+        assert report["lower_bound"] == root + 1
+        assert report["exact_value"] == root + 1
+        assert report["witness_cap"] == root + 1
+        assert report["witness"] == square_to_json(connolly_square(root))
 
 
 def test_bound_report_non_square():
     report = lambda_bound_report(10)
-    assert report.method == "bound-only"
-    assert report.lower_bound == 4
-    assert report.exact_value is None
-    assert report.witness is None
+    assert report["method"] == "bound-only"
+    assert report["lower_bound"] == 4
+    assert report["exact_value"] is None
+    assert report["witness_cap"] is None
+    assert report["witness"] is None
 
 
 def test_four_extremal_lines_reach_bound(squares3, squares4):
@@ -258,32 +255,31 @@ def test_verify_full_length_rejects_short_pattern():
 
 def test_wilf_length3_order4_single_class():
     report = wilf_classes(3, 4)
-    assert len(report.classes) == 1
-    count, members = report.classes[0]
-    assert count == 4
-    assert len(members) == 6
+    assert report["num_classes"] == len(report["classes"]) == 1
+    assert report["classes"][0]["count"] == 4
+    assert len(report["classes"][0]["patterns"]) == 6
 
 
 def test_wilf_filter_matches_pruned():
     f = wilf_classes(3, 4, mode="filter")
     p = wilf_classes(3, 4, mode="pruned")
-    assert f.counts == p.counts
+    assert f["counts"] == p["counts"]
     f4 = wilf_classes(4, 4, mode="filter")
     p4 = wilf_classes(4, 4, mode="pruned")
-    assert f4.counts == p4.counts
-    assert set(f4.counts.values()) == {400}
+    assert f4["counts"] == p4["counts"]
+    assert set(f4["counts"].values()) == {400}
     f35 = wilf_classes(3, 5, mode="filter")
-    assert f35.counts == wilf_classes(3, 5, mode="pruned").counts
-    assert set(f35.counts.values()) == {5}
+    assert f35["counts"] == wilf_classes(3, 5, mode="pruned")["counts"]
+    assert set(f35["counts"].values()) == {5}
     f45 = wilf_classes(4, 5, mode="filter")
-    assert f45.counts == wilf_classes(4, 5, mode="pruned").counts
-    assert len(f45.classes) == 8
+    assert f45["counts"] == wilf_classes(4, 5, mode="pruned")["counts"]
+    assert len(f45["classes"]) == 8
     # patterns longer than the order: the filter scan gives them the full count
     for k, n, total in ((4, 3, 12), (5, 4, 576)):
         f = wilf_classes(k, n, mode="filter", force=True)
         p = wilf_classes(k, n, mode="pruned", force=True)
-        assert f.counts == p.counts
-        assert set(f.counts.values()) == {total}
+        assert f["counts"] == p["counts"]
+        assert set(f["counts"].values()) == {total}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -291,25 +287,51 @@ def test_wilf_filter_matches_pruned():
 def test_wilf_filter_matches_naive_oracle(k, n):
     # each pattern's count from every square, against the filter's count
     # from the reduced squares times their row and column orders
-    assert wilf_classes(k, n, mode="filter", force=True).counts == naive_wilf_counts(k, n)
+    naive = {"".join(map(str, p)): c for p, c in naive_wilf_counts(k, n).items()}
+    assert wilf_classes(k, n, mode="filter", force=True)["counts"] == naive
+
+
+def test_wilf_filter_streams_its_reduced_squares(monkeypatch):
+    # the filter builds a line's bitsets when a square first needs them, so
+    # squares are still being generated after the first line's bitsets
+    calls = []
+    avoiding_orders = analysis._avoiding_orders
+    reduced_squares = analysis.reduced_squares
+
+    def counting(*args):
+        calls.append(None)
+        return avoiding_orders(*args)
+
+    requested_after = []
+
+    def recording(n, force=False):
+        for g in reduced_squares(n, force):
+            requested_after.append(len(calls))
+            yield g
+
+    monkeypatch.setattr(analysis, "_avoiding_orders", counting)
+    monkeypatch.setattr(analysis, "reduced_squares", recording)
+    report = wilf_classes(4, 5)
+    assert len(requested_after) == 56 and report["num_classes"] == 8
+    assert max(requested_after) > 0
 
 
 def test_wilf_pattern_longer_than_order():
     report = wilf_classes(4, 3)
-    assert set(report.counts.values()) == {12}
-    assert len(report.classes) == 1
+    assert set(report["counts"].values()) == {12}
+    assert len(report["classes"]) == 1
 
 
 def test_wilf_trivial_pattern():
     report = wilf_classes(1, 3)
-    assert report.counts == {(1,): 0}
+    assert report["counts"] == {"1": 0}
 
 
 def test_wilf_feasibility_box():
     # the filter's reduced-square search cannot be sized, so it stops at
     # order 6; pruned mode's counts are sized, and order 7 passes their
     # budgets; both modes stop at pattern length 4
-    assert wilf_classes(4, 6).counts[(1, 2, 3, 4)] == 4283222
+    assert wilf_classes(4, 6)["counts"]["1234"] == 4283222
     for mode in ("filter", "pruned"):
         with pytest.raises(FeasibilityError):
             wilf_classes(4, 7, mode=mode)
@@ -319,14 +341,11 @@ def test_wilf_feasibility_box():
 
 def test_wilf_report_serialization():
     report = wilf_classes(3, 4)
-    js = report.to_json()
-    assert js["num_classes"] == 1
-    assert js["counts"]["123"] == 4
-    csv = wilf_csv(js)
-    lines = csv.strip().split("\n")
+    assert report["num_classes"] == 1
+    assert report["counts"]["123"] == 4
+    lines = _wilf_csv(report).strip().split("\n")
     assert lines[0] == "pattern,count,class_id"
     assert "123,4,1" in lines
-    assert report.class_id((1, 2, 3)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +420,6 @@ def test_verify_erdos_szekeres():
 
 def test_lambda_report_serialization():
     report = compute_lambda_exhaustive(3)
-    js = report.to_json()
-    assert js["exact_value"] == 3
-    assert js["witness"]["order"] == 3
-    csv = lambda_csv(lambda_bound_report(9).to_json())
-    assert csv.splitlines()[1] == "9,4,4,4,witness-capped"
+    assert report["exact_value"] == 3
+    assert report["witness"]["order"] == 3
+    assert _lambda_csv(lambda_bound_report(9)).splitlines()[1] == "9,4,4,4,witness-capped"

@@ -90,7 +90,8 @@ def test_count_progress_lines(capsys):
 @pytest.mark.parametrize("argv", [
     ["wilf", "--length", "3", "--order", "3", "--progress", "json"],
     ["lambda", "--order", "3", "--exhaustive", "--timings"],
-], ids=["wilf-progress", "lambda-timings"])
+    ["count", "--order", "3", "--timings"],
+], ids=["wilf-progress", "lambda-timings", "count-timings"])
 def test_flag_the_command_would_ignore_is_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -305,6 +306,27 @@ def test_rect_check_witness(tmp_path, capsys):
     assert payload["witness"] == {"rows": [2, 7], "cols": [1, 5, 9]}
 
 
+def test_rect_check_json_rectangle_with_wrong_shape_is_invalid(tmp_path, capsys):
+    sq = tmp_path / "sq.txt"
+    sq.write_text(serialize_square(connolly_square(3)))
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps({"grid": [[3, 4, 2], [1, 3, 4]], "rows": 3}))
+    code, _, err = run(capsys, "rect-check", "--square", str(sq), "--rectangle", str(rect))
+    assert code == 2
+    assert "rows" in err
+
+
+def test_rect_check_json_rectangle_witness(tmp_path, capsys):
+    # the JSON form with its shape and alphabet declared finds the text form's witness
+    sq = tmp_path / "sq.txt"
+    sq.write_text(serialize_square(connolly_square(3)))
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps({"grid": [[3, 4, 2], [1, 3, 4]], "rows": 2, "cols": 3, "alphabet_bound": 4}))
+    code, out, _ = run(capsys, "rect-check", "--square", str(sq), "--rectangle", str(rect))
+    assert code == 0
+    assert json.loads(out)["witness"] == {"rows": [2, 7], "cols": [1, 5, 9]}
+
+
 @pytest.mark.parametrize("bound", ["5", [1], 2.5, True])
 def test_rect_check_malformed_alphabet_bound_is_invalid(tmp_path, capsys, bound):
     sq = tmp_path / "sq.txt"
@@ -474,13 +496,16 @@ def test_cache_respects_spec_digest(tmp_path, capsys):
     ["lambda", "--order", "3", "--exhaustive"],
 ], ids=["count", "wilf", "lambda"])
 def test_cache_hit_prints_the_computed_bytes(tmp_path, capsys, argv):
-    argv = argv + ["--jobs", "1"]
-    _, fresh, _ = run(capsys, *argv, "--no-cache")
-    _, miss, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    code, hit, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == 0 and err == ""
-    assert hit == miss == fresh
-    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+    # a hit is the stored dict with its keys sorted, so in every format it
+    # must print as the miss that stored it did
+    for fmt in ("json", "csv", "table"):
+        args = argv + ["--jobs", "1", "--format", fmt]
+        _, fresh, _ = run(capsys, *args, "--no-cache")
+        _, miss, _ = run(capsys, *args, "--cache-dir", str(tmp_path / fmt))
+        code, hit, err = run(capsys, *args, "--cache-dir", str(tmp_path / fmt))
+        assert code == 0 and err == ""
+        assert hit == miss == fresh, fmt
+        assert len((tmp_path / fmt / "cache.jsonl").read_text().splitlines()) == 1
 
 
 DIGEST = "ab" * 32
@@ -762,7 +787,8 @@ def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stdout goldens, recorded before the renderers were merged
+# stdout goldens, recorded before the renderers were merged; tables since
+# walk every dict in sorted key order
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
@@ -771,7 +797,7 @@ GOLDEN = {
     ("count", "--order", "3", "--format", "csv"):
         "order,count,nodes_explored\n3,12,93\n",
     ("count", "--order", "3", "--format", "table"):
-        "order: 3\nspec:\n  rows:\n  cols:\n  symbols:\ncount: 12\nnodes_explored: 93\n",
+        "count: 12\nnodes_explored: 93\norder: 3\nspec:\n  cols:\n  rows:\n  symbols:\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "json"):
         '{"classes": [{"count": 4, "patterns": ["123", "132", "213", "231", "312", "321"]}], '
         '"counts": {"123": 4, "132": 4, "213": 4, "231": 4, "312": 4, "321": 4}, '
@@ -779,18 +805,18 @@ GOLDEN = {
     ("wilf", "--length", "3", "--order", "4", "--format", "csv"):
         "pattern,count,class_id\n123,4,1\n132,4,1\n213,4,1\n231,4,1\n312,4,1\n321,4,1\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "table"):
-        "pattern_length: 3\norder: 4\nmode: filter\nnum_classes: 1\ncounts:\n"
-        "  123: 4\n  132: 4\n  213: 4\n  231: 4\n  312: 4\n  321: 4\n"
         "classes:\n    count: 4\n    patterns:\n"
-        "      - 123\n      - 132\n      - 213\n      - 231\n      - 312\n      - 321\n",
+        "      - 123\n      - 132\n      - 213\n      - 231\n      - 312\n      - 321\n"
+        "counts:\n  123: 4\n  132: 4\n  213: 4\n  231: 4\n  312: 4\n  321: 4\n"
+        "mode: filter\nnum_classes: 1\norder: 4\npattern_length: 3\n",
     ("lambda", "--order", "3", "--exhaustive", "--format", "json"):
         '{"exact_value": 3, "lower_bound": 2, "method": "exhaustive", "order": 3, '
         '"witness": {"grid": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "order": 3}, "witness_cap": 3}\n',
     ("lambda", "--order", "3", "--exhaustive", "--format", "csv"):
         "order,lower_bound,exact_value,witness_cap,method\n3,2,3,3,exhaustive\n",
     ("lambda", "--order", "3", "--exhaustive", "--format", "table"):
-        "order: 3\nlower_bound: 2\nexact_value: 3\nwitness_cap: 3\nmethod: exhaustive\n"
-        "witness:\n  order: 3\n  grid:\n    1 2 3\n    2 3 1\n    3 1 2\n",
+        "exact_value: 3\nlower_bound: 2\nmethod: exhaustive\norder: 3\n"
+        "witness:\n  grid:\n    1 2 3\n    2 3 1\n    3 1 2\n  order: 3\nwitness_cap: 3\n",
     ("lambda", "--order", "9", "--bounds", "--format", "csv"):
         "order,lower_bound,exact_value,witness_cap,method\n9,4,4,4,witness-capped\n",
 }
@@ -812,14 +838,14 @@ def test_check_and_rect_check_table_golden(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--square", str(sq), "--pattern", "123", "--format", "table")
     assert code == 0
     assert out == (
-        "order: 9\npattern: 123\ncontained: True\nwitness:\n  line_kind: row\n"
-        "  line_index: 1\n  positions:\n    - 1\n    - 2\n    - 3\n"
+        "contained: True\norder: 9\npattern: 123\nwitness:\n  line_index: 1\n"
+        "  line_kind: row\n  positions:\n    - 1\n    - 2\n    - 3\n"
     )
     code, out, _ = run(
         capsys, "rect-check", "--square", str(sq), "--rectangle", str(rect), "--format", "table"
     )
     assert code == 0
     assert out == (
-        "order: 9\npattern_rows: 2\npattern_cols: 3\ncontained: True\nwitness:\n"
-        "  rows:\n    - 2\n    - 7\n  cols:\n    - 1\n    - 5\n    - 9\n"
+        "contained: True\norder: 9\npattern_cols: 3\npattern_rows: 2\nwitness:\n"
+        "  cols:\n    - 1\n    - 5\n    - 9\n  rows:\n    - 2\n    - 7\n"
     )
