@@ -26,10 +26,17 @@ Two engines expand the same keys:
   EC1 4.7), in this process: layer i maps each key after i rows to the
   number of partial squares reaching it, each key is expanded once, and
   the count is the sum of the last layer.
-- The row walk (_run_search) visits every square, for enumerate_squares
-  (which analysis walks) and render_squares.  Its per-call row table keeps
-  each key's rows, decoded, and next keys, so each key's row search runs
-  once.  reduced_squares, which feeds the Wilf filter, shares neither.
+- The row walk (_walk) visits every square, for enumerate_squares (which
+  analysis walks) and render_squares.  A square's last row is forced by
+  the rows above it, so the walk steps through rows 0 to n - 3 only; each
+  key it reaches at row n - 2 has a short list of endings, the (row n - 2,
+  row n - 1) pairs that complete it.  Its per-call row table keeps each
+  key's rows, decoded, and next keys, or its endings, so each key's row
+  search runs once, and render_squares keeps each ending's finished text
+  beside its entry, so an output line is one concatenation: at order 5
+  with no patterns, enumerate takes about 0.14 s at one job (0.31 s when
+  each line was joined from its grid).  reduced_squares, which feeds the
+  Wilf filter, shares neither.
 
 A node is a cell placement that passed the occupancy masks, counted before
 the automaton check.  The sweep's nodes_explored adds each state's
@@ -47,7 +54,7 @@ the tasks, in worker processes when jobs > 1, each of which streams
 its tasks' pieces down its own pipe, and yields the pieces in task order,
 so every output is the same for any worker count.  The automata and the row
 table are built once per call; a worker process gets them once and grows
-the table across its tasks.
+the table and its texts across its tasks.
 
 Every order bound is here, in one feasibility rule (must_size): above
 UNSIZED_ORDER, unless forced, a search runs only while its compile and its
@@ -85,8 +92,9 @@ WORK_BUDGET = 1 << 26
 #: most keys one row layer of a sized sweep may hold
 STATE_BUDGET = 1 << 20
 
-#: most states one row walk's table stores (a few hundred bytes each);
-#: states past it are searched again on every visit
+#: most keys one row walk's table stores (a few hundred bytes each, and
+#: as much again for render_squares's texts beside them); keys past it are
+#: searched, and their texts made, again on every visit
 ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
@@ -191,12 +199,18 @@ class Automata:
     shift sym_steps gives); root is the key before row 0.  The row table
     maps the key at the start of a row to one flat tuple (row, next, row,
     next, ...): each row fill_row let through from that key, in increasing
-    order, with the key it leads to.
-    _run_search fills it on first visit, up to ROW_TABLE_BUDGET keys, and a
-    first-row task picks its row out of the root's entry.  keys holds the
-    one object kept for each distinct next key, and row_cells[(key ^ next)
-    & free_bits] the one tuple for each row.  At order 5 with no patterns
-    the table holds 4,321 keys in about 1.2 MB.
+    order, with the key it leads to.  A key at row n - 2, the walk's last
+    (see _walk), maps instead to its endings, a tuple of (row n - 2, row
+    n - 1) tuples, and keys after it take no entry.  _walk fills the table
+    on first visit, up to ROW_TABLE_BUDGET keys, and a first-row task
+    picks its row out of the root's entry.  keys holds the one object kept
+    for each distinct next key, and row_cells[(key ^ next) & free_bits]
+    the one tuple for each row.  texts maps a stored ending key to its
+    endings' finished texts, made by render_squares with the call's one
+    renderer.  At order 5 with no patterns the table holds 4,201 keys in
+    about 1.4 MB, and texts 5,280 strings for 2,040 keys in about 0.9 MB;
+    at order 6 the 65,536 keys of a full table take about 28 MB, and the
+    texts of its 24,812 ending keys about 12 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf):
@@ -227,6 +241,7 @@ class Automata:
                 (shift, [tuple(t << shift for t in row) for row in self.sym.next]) for shift in shifts
             ]
         self.table: dict[int, tuple] = {}
+        self.texts: dict[int, tuple[str, ...]] = {}
         self.keys: dict[int, int] = {}
         self.columns = _Columns(n, self.col)
         self.candidates = _Candidates()
@@ -325,33 +340,65 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     return sum(layer.values()), nodes
 
 
-def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Iterator[Grid]:
+def _endings(auto: Automata, key: int) -> list[tuple[tuple[int, ...], ...]]:
     """
-    The row walk over auto's order and spec: yields each square's grid, in
-    lexicographic order.  With first_row given (a tuple), the walk is one
-    first-row task and visits only the squares with that first row.  Walks
-    that share auto share its row table.
+    Every way to fill the rest of the square after key, each as the tuple
+    of its rows, in increasing order.  The walk asks this only where at
+    most two rows are left, and the last row is forced, so there are few.
+    """
+    found = []
+    for nxt in islice(fill_row(auto, key), 1, None):
+        row = auto.row_cells[(key ^ nxt) & auto.free_bits]
+        if nxt & auto.free_bits:
+            found += [(row,) + rest for rest in _endings(auto, nxt)]
+        else:
+            found.append((row,))
+    return found
 
-    The grid is walked a whole row at a time, on an explicit stack of one
-    iterator of row positions per row.  fill_row finds the rows that can
-    follow a key and the key each leads to.  The first visit to a key
-    stores them, with each row decoded, in the row table; later visits
-    loop over the stored rows.
+
+def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Callable[[T, tuple], T]) -> Iterator[tuple]:
+    """
+    The row walk over auto's order and spec, the one search core of
+    enumerate_squares and render_squares.  It walks rows 0 to n - 3 and
+    yields (prefix, key, endings) at each key it reaches at row n - 2, in
+    lexicographic order: prefix is step(...step(prefix, row 0)..., row
+    n - 3), made once per row step, and endings is _endings(auto, key),
+    never empty.  At orders 1 and 2 the yielding row is n - 1 instead, so
+    a first-row task still picks its row 0 as a step.  With first_row
+    given (a tuple), the walk is one first-row task and visits only the
+    squares with that first row.  Walks that share auto share its row
+    table.
+
+    The walk keeps an explicit stack of one iterator of row positions per
+    row.  The first visit to a key stores its entry in the row table,
+    while it has room: above row n - 2 the rows fill_row finds and the
+    keys they lead to, at row n - 2 its endings.  Later visits loop over
+    the stored entry.
     """
     n = auto.n
+    last = n - 2 if n > 2 else n - 1
     table, key_objs = auto.table, auto.keys
     cells_of, free_bits = auto.row_cells, auto.free_bits
 
-    grid: list[tuple[int, ...]] = [()] * n
+    prefixes = [prefix] * (last + 1)
     # entries[i], picks[i]: row i's table entry and an iterator of the
     # positions in it of the rows still to try
-    entries: list = [None] * n
-    picks: list = [None] * n
+    entries: list = [None] * last
+    picks: list = [None] * last
     i, key = 0, auto.root
     while i >= 0:
         if key is not None:
             # the walk has just reached row i at key
             entry = table.get(key)
+            if i == last:
+                if entry is None:
+                    entry = _endings(auto, key)
+                    if len(table) < ROW_TABLE_BUDGET:
+                        entry = table[key] = tuple(entry)
+                if entry:
+                    yield prefixes[i], key, entry
+                i, key = i - 1, None
+                continue
             if entry is None:
                 # [row, next, row, next, ...]
                 entry = []
@@ -369,14 +416,25 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Ite
             entries[i], key = entry, None
         entry = entries[i]
         for k in picks[i]:
-            grid[i] = entry[k]
-            if i == n - 1:
-                yield tuple(grid)
-            else:
-                i, key = i + 1, entry[k + 1]
-                break
+            prefixes[i + 1] = step(prefixes[i], entry[k])
+            i, key = i + 1, entry[k + 1]
+            break
         else:
             i -= 1
+
+
+def _add_row(grid: Grid, row: tuple[int, ...]) -> Grid:
+    return grid + (row,)
+
+
+def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Iterator[Grid]:
+    """
+    The squares of the row walk (_walk) as grids, in lexicographic order;
+    with first_row, those of that one first-row task.
+    """
+    for grid, _, endings in _walk(auto, first_row, (), _add_row):
+        for ending in endings:
+            yield grid + ending
 
 
 #: most squares _render_worker renders into one piece of text: enough to
@@ -385,13 +443,30 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Ite
 RENDER_PIECE_SQUARES = 10_000
 
 
-def _render_worker(first_row: tuple[int, ...], automata: Automata, render: Callable[[Grid], str]) -> Iterator[str]:
-    grids = _run_search(automata, first_row)
-    while True:
-        texts = [render(g) for g in islice(grids, RENDER_PIECE_SQUARES)]
-        if not texts:
-            return
-        yield "".join(texts)
+def _render_worker(first_row: tuple[int, ...], automata: Automata, render) -> Iterator[str]:
+    # A line is its rows' texts joined by render.sep between render.head
+    # and render.tail.  The walk grows the text of rows 0 to n - 3 once per
+    # row step, and the text of each ending, rows n - 2 and n - 1 and the
+    # tail, is kept beside the key's stored entry, so a line is one
+    # concatenation.  Pieces are cut at exactly RENDER_PIECE_SQUARES lines.
+    sep, tail = render.sep, render.tail
+    table, texts = automata.table, automata.texts
+    piece, room = [], RENDER_PIECE_SQUARES
+    for prefix, key, endings in _walk(automata, first_row, render.head, lambda text, row: text + render[row] + sep):
+        lines = texts.get(key)
+        if lines is None:
+            lines = tuple(sep.join(map(render.__getitem__, ending)) + tail for ending in endings)
+            if key in table:
+                texts[key] = lines
+        while len(lines) >= room:
+            piece += (prefix, prefix.join(lines[:room]))
+            yield "".join(piece)
+            piece, lines, room = [], lines[room:], RENDER_PIECE_SQUARES
+        if lines:
+            piece += (prefix, prefix.join(lines))
+            room -= len(lines)
+    if piece:
+        yield "".join(piece)
 
 
 def _worker_count(jobs: int, num_tasks: int) -> int:
@@ -567,19 +642,21 @@ def enumerate_squares(
 def render_squares(
     n: int,
     spec: AvoidanceSpec,
-    render: Callable[[Grid], str],
+    render,
     *,
     jobs: int = 1,
     force: bool = False,
 ) -> Iterator[str]:
     """
-    Yield the satisfying squares as text, in lexicographic order: pieces
-    that each join render(grid) over at most RENDER_PIECE_SQUARES squares
-    of one first-row task, in task order, at any jobs.  render runs where
-    the task runs, in a worker process when jobs > 1 that keeps its copy,
-    with anything it caches, across its tasks; render must be picklable.
-    No process holds a whole order-6 task, and closing the iterator early
-    terminates the workers.  The walk is sized before any worker starts.
+    Yield the satisfying squares as text, one line each, in lexicographic
+    order: pieces of at most RENDER_PIECE_SQUARES lines of one first-row
+    task, in task order, at any jobs.  A line is render.head, then
+    render[row] for each row joined by render.sep, then render.tail.
+    render runs where the task runs, in a worker process when jobs > 1
+    that keeps its copy, with anything it caches, across its tasks; render
+    must be picklable.  No process holds a whole order-6 task, and closing
+    the iterator early terminates the workers.  The walk is sized before
+    any worker starts.
     """
     automata, _ = _sized_search(n, spec, force, walk=True)
     worker = partial(_render_worker, automata=automata, render=render)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import pickle
 import threading
 import time
+import weakref
 from functools import partial
 from itertools import repeat
 
@@ -357,6 +359,52 @@ def test_render_squares_yields_bounded_pieces(monkeypatch):
     pieces = list(render_squares(5, EMPTY_SPEC, cli._SquareLines(5), jobs=1))
     assert [p.count("\n") for p in pieces] == ([100] * 13 + [44]) * 120
     assert hashlib.sha256("".join(pieces).encode()).hexdigest() == ENUMERATE_5_SHA256
+
+
+def test_capped_row_table_renders_the_same_bytes(monkeypatch):
+    # keys past the budget have their entries and ending texts made again
+    # on every visit, and the lines come out the same
+    made = []
+
+    class Recording(enumeration.Automata):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(enumeration, "Automata", Recording)
+    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
+    for jobs in (1, 2):
+        text = "".join(render_squares(5, EMPTY_SPEC, cli._SquareLines(5), jobs=jobs))
+        assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_5_SHA256, jobs
+    auto = made[0]
+    assert len(auto.table) == 50
+    # texts are kept only beside stored entries
+    assert 0 < len(auto.texts) <= 50
+    assert set(auto.texts) <= set(auto.table)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_leaves_no_cycle_holding_its_table(monkeypatch, capsys, jobs):
+    # a call's Automata, row table and texts are freed by reference
+    # counting when the call returns, not at the next full collection; at
+    # one job this process walks with them
+    made = []
+
+    class Recording(enumeration.Automata):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(enumeration, "Automata", Recording)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["enumerate", "--order", "5", "--jobs", jobs]) == 0
+        assert len(made) == 1
+        assert made[0]() is None
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count("\n") == 161280
 
 
 def test_symbol_dead_first_rows_start_no_pool(monkeypatch):

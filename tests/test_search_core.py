@@ -121,12 +121,18 @@ def _grids(n, spec=EMPTY_SPEC, jobs=1):
 def test_enumeration_equals_filtered_full_enumeration(n):
     grids = _grids(n)
     square_masks = _square_masks(grids, _line_masks(n))
+    lines = cli._SquareLines(n)
     for p in S3 + S4:
         for spec in _spec_kinds(p):
             want = _filtered(grids, square_masks, spec)
             assert _grids(n, spec) == want, (n, spec)
-            # the split path: first-row tasks sharing one compilation
             assert count_squares(n, spec).count == len(want), (n, spec)
+            # the render path: first-row tasks sharing one compilation, each
+            # line its rows' text plus a stored ending's; at orders 1 and 2
+            # the endings hang below row 0, the first-row task's own row
+            text = "".join(lines(sq.grid) for sq in enumerate_squares(n, spec))
+            for jobs in (1, 2):
+                assert "".join(render_squares(n, spec, cli._SquareLines(n), jobs=jobs)) == text, (n, spec, jobs)
 
 
 def test_symbol_specs_equal_filtered_full_enumeration_order5():
