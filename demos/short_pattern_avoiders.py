@@ -23,7 +23,7 @@ PATTERN = (1, 2, 3)
 print(f"How many order-n squares avoid {PATTERN} in every row and column?")
 for n in range(2, 7):
     result = count_squares(n, AvoidanceSpec.both(PATTERN))
-    print(f"  n={n}: {result.count}   ({result.nodes_explored} search nodes)")
+    print(f"  n={n}: {result.count}   ({result.nodes_explored} cell placements swept)")
 
 print("\nThe four avoiders of order 4, by search:")
 found = list(enumerate_squares(4, AvoidanceSpec.both(PATTERN)))

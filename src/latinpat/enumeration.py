@@ -25,23 +25,20 @@ Two engines expand the same keys:
 - count_squares sweeps forward by the transfer-matrix method (Stanley,
   EC1 4.7), in this process: layer i maps each key after i rows to the
   number of partial squares reaching it, each key is expanded once, and
-  the count is the sum of the last layer.
+  the count is the sum of the last layer.  Its nodes_explored is its own
+  work, fill_row's nodes summed once per expanded key, the one counter
+  that WORK_BUDGET bounds.
 - The row walk (_walk) visits every square, for enumerate_squares (which
   analysis walks) and render_squares.  A square's last row is forced by
   the rows above it, so the walk steps through rows 0 to n - 3 only; each
   key it reaches at row n - 2 has a short list of endings, the (row n - 2,
   row n - 1) pairs that complete it.  Its per-call row table keeps each
-  key's rows, decoded, and next keys, or its endings, so each key's row
-  search runs once, and render_squares keeps each ending's finished text
-  beside its entry, so an output line is one concatenation: at order 5
-  with no patterns, enumerate takes about 0.14 s at one job (0.31 s when
-  each line was joined from its grid).  reduced_squares, which feeds the
-  Wilf filter, shares neither.
-
-A node is a cell placement that passed the occupancy masks, counted before
-the automaton check.  The sweep's nodes_explored adds each state's
-fill_row nodes once per partial square reaching it, so it counts what a
-cell-by-cell search from the root counts.
+  key's rows, decoded, and next keys, or what its consumer keeps of its
+  endings, so each key's row search runs once: render_squares keeps each
+  ending's finished text, so an output line is one concatenation, and at
+  order 5 with no patterns enumerate takes about 0.14 s at one job (0.31
+  s when each line was joined from its grid).  reduced_squares, which
+  feeds the Wilf filter, shares neither.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
@@ -54,11 +51,12 @@ the tasks, in worker processes when jobs > 1, each of which streams
 its tasks' pieces down its own pipe, and yields the pieces in task order,
 so every output is the same for any worker count.  The automata and the row
 table are built once per call; a worker process gets them once and grows
-the table and its texts across its tasks.
+the table across its tasks.
 
 Every order bound is here, in one feasibility rule (must_size): above
 UNSIZED_ORDER, unless forced, a search runs only while its compile and its
-sweep stay inside WORK_BUDGET and STATE_BUDGET, and a walk sweeps first.
+sweep stay inside WORK_BUDGET and STATE_BUDGET, and a walk sweeps first;
+a walk whose sweep counts no square yields nothing without walking.
 """
 from __future__ import annotations
 
@@ -80,7 +78,7 @@ from .square import (
 
 #: version of the engine's answers, nodes_explored included: cached counts
 #: are keyed by it, so a change to any answer must raise it
-ENGINE_VERSION = 4
+ENGINE_VERSION = 5
 
 #: highest order at which every search runs unsized
 UNSIZED_ORDER = 6
@@ -92,9 +90,8 @@ WORK_BUDGET = 1 << 26
 #: most keys one row layer of a sized sweep may hold
 STATE_BUDGET = 1 << 20
 
-#: most keys one row walk's table stores (a few hundred bytes each, and
-#: as much again for render_squares's texts beside them); keys past it are
-#: searched, and their texts made, again on every visit
+#: most keys one row walk's table stores (a few hundred bytes each); keys
+#: past it are searched, and their endings finished, again on every visit
 ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
@@ -200,17 +197,16 @@ class Automata:
     maps the key at the start of a row to one flat tuple (row, next, row,
     next, ...): each row fill_row let through from that key, in increasing
     order, with the key it leads to.  A key at row n - 2, the walk's last
-    (see _walk), maps instead to its endings, a tuple of (row n - 2, row
-    n - 1) tuples, and keys after it take no entry.  _walk fills the table
-    on first visit, up to ROW_TABLE_BUDGET keys, and a first-row task
-    picks its row out of the root's entry.  keys holds the one object kept
-    for each distinct next key, and row_cells[(key ^ next) & free_bits]
-    the one tuple for each row.  texts maps a stored ending key to its
-    endings' finished texts, made by render_squares with the call's one
-    renderer.  At order 5 with no patterns the table holds 4,201 keys in
-    about 1.4 MB, and texts 5,280 strings for 2,040 keys in about 0.9 MB;
-    at order 6 the 65,536 keys of a full table take about 28 MB, and the
-    texts of its 24,812 ending keys about 12 MB.
+    (see _walk), maps instead to its endings as the walk's consumer keeps
+    them: a tuple of (row n - 2, row n - 1) tuples for enumerate_squares,
+    of their finished texts for render_squares; keys after it take no
+    entry.  _walk fills the table on first visit, up to ROW_TABLE_BUDGET
+    keys, and a first-row task picks its row out of the root's entry.
+    keys holds the one object kept for each distinct next key, and
+    row_cells[(key ^ next) & free_bits] the one tuple for each row.  At
+    order 5 with no patterns the table holds 4,201 keys in about 1.4 MB
+    (1.6 MB with render_squares's texts); at order 6 the 65,536 keys of a
+    full table take about 28 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf):
@@ -241,7 +237,6 @@ class Automata:
                 (shift, [tuple(t << shift for t in row) for row in self.sym.next]) for shift in shifts
             ]
         self.table: dict[int, tuple] = {}
-        self.texts: dict[int, tuple[str, ...]] = {}
         self.keys: dict[int, int] = {}
         self.columns = _Columns(n, self.col)
         self.candidates = _Candidates()
@@ -312,28 +307,25 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     """
     Count by the transfer-matrix method: (squares, nodes).  Layer i maps
     each key after i rows to the number of partial squares that reach it.
-    Each key is expanded once by fill_row, and nodes adds that search's
-    nodes once per partial square, so it equals a cell-by-cell search's
-    from the root.  A sized sweep raises FeasibilityError once fill_row's
-    nodes, each key's once, pass WORK_BUDGET or a layer STATE_BUDGET keys.
+    Each key is expanded once by fill_row, and nodes sums those searches'
+    nodes: the sweep's own work.  A sized sweep raises FeasibilityError
+    once nodes pass WORK_BUDGET or a layer STATE_BUDGET keys.
     """
     n = auto.n
     layer = {auto.root: 1}
-    nodes = work = 0
+    nodes = 0
     for i in range(n):
         after: dict[int, int] = {}
         get = after.get
         for key, paths in layer.items():
             found = fill_row(auto, key)
-            nodes += paths * found[0]
+            nodes += found[0]
             for nxt in islice(found, 1, None):
                 after[nxt] = get(nxt, 0) + paths
-            if sized:
-                work += found[0]
-                if work > WORK_BUDGET or len(after) > STATE_BUDGET:
-                    raise FeasibilityError(
-                        f"order-{n} sweep passed its bound in row {i + 1}, at {work:,} cell placements "
-                        f"(bound {WORK_BUDGET:,}) and {len(after):,} states (bound {STATE_BUDGET:,}); force lifts it")
+            if sized and (nodes > WORK_BUDGET or len(after) > STATE_BUDGET):
+                raise FeasibilityError(
+                    f"order-{n} sweep passed its bound in row {i + 1}, at {nodes:,} cell placements "
+                    f"(bound {WORK_BUDGET:,}) and {len(after):,} states (bound {STATE_BUDGET:,}); force lifts it")
         layer = after
         if progress is not None:
             progress(i + 1, n, len(layer))
@@ -356,24 +348,25 @@ def _endings(auto: Automata, key: int) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
-def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Callable[[T, tuple], T]) -> Iterator[tuple]:
+def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Callable[[T, tuple], T],
+          finish: Callable[[list], tuple]) -> Iterator[tuple]:
     """
     The row walk over auto's order and spec, the one search core of
     enumerate_squares and render_squares.  It walks rows 0 to n - 3 and
-    yields (prefix, key, endings) at each key it reaches at row n - 2, in
-    lexicographic order: prefix is step(...step(prefix, row 0)..., row
-    n - 3), made once per row step, and endings is _endings(auto, key),
-    never empty.  At orders 1 and 2 the yielding row is n - 1 instead, so
-    a first-row task still picks its row 0 as a step.  With first_row
-    given (a tuple), the walk is one first-row task and visits only the
-    squares with that first row.  Walks that share auto share its row
-    table.
+    yields (prefix, finish(endings)) at each key it reaches at row n - 2,
+    in lexicographic order: prefix is step(...step(prefix, row 0)..., row
+    n - 3), made once per row step, endings is _endings(auto, key), never
+    empty, and finish returns one item per ending.  At orders 1 and 2 the
+    yielding row is n - 1 instead, so a first-row task still picks its row
+    0 as a step.  With first_row given (a tuple), the walk is one
+    first-row task and visits only the squares with that first row.  Walks
+    that share auto share its row table, so they must share finish too.
 
     The walk keeps an explicit stack of one iterator of row positions per
     row.  The first visit to a key stores its entry in the row table,
     while it has room: above row n - 2 the rows fill_row finds and the
-    keys they lead to, at row n - 2 its endings.  Later visits loop over
-    the stored entry.
+    keys they lead to, at row n - 2 finish(endings).  Later visits loop
+    over the stored entry.
     """
     n = auto.n
     last = n - 2 if n > 2 else n - 1
@@ -392,11 +385,11 @@ def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Ca
             entry = table.get(key)
             if i == last:
                 if entry is None:
-                    entry = _endings(auto, key)
+                    entry = finish(_endings(auto, key))
                     if len(table) < ROW_TABLE_BUDGET:
-                        entry = table[key] = tuple(entry)
+                        table[key] = entry
                 if entry:
-                    yield prefixes[i], key, entry
+                    yield prefixes[i], entry
                 i, key = i - 1, None
                 continue
             if entry is None:
@@ -432,7 +425,7 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Ite
     The squares of the row walk (_walk) as grids, in lexicographic order;
     with first_row, those of that one first-row task.
     """
-    for grid, _, endings in _walk(auto, first_row, (), _add_row):
+    for grid, endings in _walk(auto, first_row, (), _add_row, tuple):
         for ending in endings:
             yield grid + ending
 
@@ -446,18 +439,16 @@ RENDER_PIECE_SQUARES = 10_000
 def _render_worker(first_row: tuple[int, ...], automata: Automata, render) -> Iterator[str]:
     # A line is its rows' texts joined by render.sep between render.head
     # and render.tail.  The walk grows the text of rows 0 to n - 3 once per
-    # row step, and the text of each ending, rows n - 2 and n - 1 and the
-    # tail, is kept beside the key's stored entry, so a line is one
+    # row step, and the table stores the text of each ending, rows n - 2
+    # and n - 1 and the tail, as the key's entry, so a line is one
     # concatenation.  Pieces are cut at exactly RENDER_PIECE_SQUARES lines.
     sep, tail = render.sep, render.tail
-    table, texts = automata.table, automata.texts
+
+    def texts(endings: list) -> tuple[str, ...]:
+        return tuple(sep.join(map(render.__getitem__, ending)) + tail for ending in endings)
+
     piece, room = [], RENDER_PIECE_SQUARES
-    for prefix, key, endings in _walk(automata, first_row, render.head, lambda text, row: text + render[row] + sep):
-        lines = texts.get(key)
-        if lines is None:
-            lines = tuple(sep.join(map(render.__getitem__, ending)) + tail for ending in endings)
-            if key in table:
-                texts[key] = lines
+    for prefix, lines in _walk(automata, first_row, render.head, lambda text, row: text + render[row] + sep, texts):
         while len(lines) >= room:
             piece += (prefix, prefix.join(lines[:room]))
             yield "".join(piece)
@@ -609,8 +600,9 @@ def count_squares(
     """
     Count order-n Latin squares satisfying the avoidance spec, by a forward
     sweep over row layers in this process (_sweep), sized unless force.
-    nodes_explored is the sweep's: the cell placements that passed the
-    occupancy masks, counted once per partial square they extend.
+    nodes_explored is the sweep's work, the one figure WORK_BUDGET bounds:
+    the cell placements that passed the occupancy masks, counted before the
+    automaton check, summed once over each key the sweep expands.
     progress(rows_done, rows_total, states) follows each row layer.
     """
     _, (count, nodes) = _sized_search(n, spec, force, walk=False, progress=progress)
@@ -629,13 +621,16 @@ def enumerate_squares(
     row-major grid, each as the walk in this process yields it; with
     first_row, only those whose first row equals it.  first_row and the
     spec are checked, the automata compiled and the walk sized unless
-    force, at the call, not at the first next().
+    force, at the call, not at the first next().  When the sizing sweep
+    counts no square, the iterator is empty and nothing is walked.
     """
     if first_row is not None:
         first_row = as_perm(first_row)
         if len(first_row) != n:
             raise ValueError(f"first row has length {len(first_row)}, expected {n}")
-    auto, _ = _sized_search(n, spec, force, walk=True)
+    auto, swept = _sized_search(n, spec, force, walk=True)
+    if swept and not swept[0]:
+        return iter(())
     return map(_trusted_square, _run_search(auto, first_row))
 
 
@@ -656,11 +651,13 @@ def render_squares(
     that keeps its copy, with anything it caches, across its tasks; render
     must be picklable.  No process holds a whole order-6 task, and closing
     the iterator early terminates the workers.  The walk is sized before
-    any worker starts.
+    any worker starts, and when its sweep counts no square there is no
+    task, so no worker starts.
     """
-    automata, _ = _sized_search(n, spec, force, walk=True)
+    automata, swept = _sized_search(n, spec, force, walk=True)
+    tasks = [] if swept and not swept[0] else _first_row_tasks(automata)
     worker = partial(_render_worker, automata=automata, render=render)
-    return map_tasks(worker, _first_row_tasks(automata), jobs)
+    return map_tasks(worker, tasks, jobs)
 
 
 # ---------------------------------------------------------------------------

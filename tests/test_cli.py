@@ -465,6 +465,20 @@ def test_cache_entry_from_an_older_engine_is_recomputed(tmp_path, capsys):
     assert json.loads(out)["nodes_explored"] != 1
 
 
+def test_engine_4_count_entry_is_recomputed(tmp_path, capsys):
+    # engine 4 weighted each key's row search by the partial squares
+    # reaching it (93 nodes at order 3); engine 5 reports the sweep's work
+    digest = hashlib.sha256(json.dumps(EMPTY_SPEC.to_dict(), sort_keys=True).encode()).hexdigest()
+    stale = {"count": 12, "nodes_explored": 93, "order": 3, "spec": EMPTY_SPEC.to_dict()}
+    cli.CacheStore(tmp_path).store({"engine": 4, "op": "count", "order": 3, "spec": digest}, stale)
+    code, out, _ = run(capsys, "count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["nodes_explored"] == 75
+    # the fresh entry is stored under engine 5 and served from then on
+    assert run(capsys, "count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path))[1] == out
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("key, argv", [
     ({"op": "wilf", "length": 3, "order": 3, "mode": "filter"}, ["wilf", "--length", "3", "--order", "3"]),
     ({"op": "lambda-exhaustive", "order": 3}, ["lambda", "--order", "3", "--exhaustive"]),
@@ -793,11 +807,11 @@ def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
 
 GOLDEN = {
     ("count", "--order", "3", "--format", "json"):
-        '{"count": 12, "nodes_explored": 93, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
+        '{"count": 12, "nodes_explored": 75, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
     ("count", "--order", "3", "--format", "csv"):
-        "order,count,nodes_explored\n3,12,93\n",
+        "order,count,nodes_explored\n3,12,75\n",
     ("count", "--order", "3", "--format", "table"):
-        "count: 12\nnodes_explored: 93\norder: 3\nspec:\n  cols:\n  rows:\n  symbols:\n",
+        "count: 12\nnodes_explored: 75\norder: 3\nspec:\n  cols:\n  rows:\n  symbols:\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "json"):
         '{"classes": [{"count": 4, "patterns": ["123", "132", "213", "231", "312", "321"]}], '
         '"counts": {"123": 4, "132": 4, "213": 4, "231": 4, "312": 4, "321": 4}, '

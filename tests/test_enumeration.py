@@ -9,7 +9,7 @@ import threading
 import time
 import weakref
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 
 import pytest
 
@@ -185,7 +185,7 @@ def test_parallel_count_matches_serial():
 
 
 @pytest.mark.parametrize("n,spec,cli_args,nodes", [
-    (4, EMPTY_SPEC, [], 5680),
+    (4, EMPTY_SPEC, [], 1936),
     (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 2528),
     (
         5,
@@ -201,14 +201,13 @@ def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, 
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == nodes
 
 
-# (count, (nodes_explored, first-row nodes)) at order 5: the whole
-# search's nodes, recorded from the cell-by-cell engine, except that
-# specs with symbol patterns read ENGINE_VERSION 3, which steps symbol lines
-# as rows are placed; then the nodes of the first row's own search
+# (count, (nodes_explored, first-row nodes)) at order 5: the sweep's
+# work, fill_row's nodes once per key it expands (ENGINE_VERSION 5); then
+# the nodes of the first row's own search
 ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
 GOLDEN_5 = [
-    (EMPTY_SPEC, 161280, (2314165, 325)),
-    (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (748791, 300)),
+    (EMPTY_SPEC, 161280, (171265, 325)),
+    (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (236226, 300)),
     (ROWS_132_SYMBOLS_123, 5, (4035, 165)),
 ]
 
@@ -222,11 +221,11 @@ GOLDEN_PREFIXES_5 = [
 
 # the same at order 4, from the same engine
 GOLDEN_4 = [
-    (EMPTY_SPEC, 576, (5680, 64)),
+    (EMPTY_SPEC, 576, (1936, 64)),
     (AvoidanceSpec.both((1, 2, 3)), 4, (371, 48)),
     (AvoidanceSpec.columns_only((2, 3, 1)), 24, (782, 64)),
     (AvoidanceSpec.rows_only((1, 2)), 0, (13, 10)),
-    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (1432, 64)),
+    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (1216, 64)),
     (ROWS_132_SYMBOLS_123, 4, (462, 48)),
 ]
 
@@ -255,10 +254,56 @@ def test_golden_counts_and_nodes_order_4(spec, count, nodes):
 
 @pytest.mark.parametrize("n,spec,count,nodes", [(5, *g) for g in GOLDEN_5] + [(4, *g) for g in GOLDEN_4])
 def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
-    # the sweep adds each state's row-search nodes once per partial square
-    # reaching it, which is what the cell-by-cell engine counted
+    # walk the distinct keys each row reaches from the root, a set per row,
+    # and recount the sweep's work: fill_row's nodes once per key, whatever
+    # number of partial squares reach it
+    auto = enumeration.Automata(n, spec)
+    keys, work = {auto.root}, 0
+    for _ in range(n):
+        after = set()
+        for key in keys:
+            found = fill_row(auto, key)
+            work += found[0]
+            after.update(islice(found, 1, None))
+        keys = after
     result = count_squares(n, spec)
     assert (result.count, result.nodes_explored) == (count, nodes[0])
+    assert work == nodes[0]
+
+
+@pytest.mark.parametrize("spec,count,nodes", GOLDEN_5)
+def test_work_budget_bounds_nodes_explored(monkeypatch, budgets, spec, count, nodes):
+    # the budget and the report are one counter: with order 5 sized, a
+    # count passes at a budget of its nodes_explored and is refused by
+    # its sweep one placement below it
+    monkeypatch.setattr(enumeration, "UNSIZED_ORDER", 4)
+    budgets(nodes[0])
+    result = count_squares(5, spec)
+    assert (result.count, result.nodes_explored) == (count, nodes[0])
+    budgets(nodes[0] - 1)
+    with pytest.raises(FeasibilityError, match="sweep"):
+        count_squares(5, spec)
+
+
+@pytest.mark.parametrize("n,spec,tasks", [
+    (7, AvoidanceSpec.both((1, 2, 3), (3, 2, 1)), 0),
+    # every row of order 4 would be 2143, 3412, 2413 or 3142, none of
+    # which starts with 1: four first-row tasks, and no square
+    (4, AvoidanceSpec.rows_only((1, 2, 3), (3, 2, 1)), 4),
+])
+def test_sized_walk_that_counts_nothing_does_not_walk(monkeypatch, n, spec, tasks):
+    # a sized walk whose sweep counted no square yields nothing without
+    # walking, and render_squares runs no task, so it starts no process
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked or started a process")
+
+    monkeypatch.setattr(enumeration, "UNSIZED_ORDER", 3)
+    monkeypatch.setattr(enumeration, "_walk", refuse)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    assert len(partition_tasks(n, spec, n)) == tasks
+    assert count_squares(n, spec).count == 0
+    assert list(enumerate_squares(n, spec)) == []
+    assert list(render_squares(n, spec, cli._SquareLines(n), jobs=2)) == []
 
 
 def test_golden_partition_prefixes():
@@ -362,8 +407,8 @@ def test_render_squares_yields_bounded_pieces(monkeypatch):
 
 
 def test_capped_row_table_renders_the_same_bytes(monkeypatch):
-    # keys past the budget have their entries and ending texts made again
-    # on every visit, and the lines come out the same
+    # keys past the budget have their entries, ending texts included, made
+    # again on every visit, and the lines come out the same at any jobs
     made = []
 
     class Recording(enumeration.Automata):
@@ -376,16 +421,12 @@ def test_capped_row_table_renders_the_same_bytes(monkeypatch):
     for jobs in (1, 2):
         text = "".join(render_squares(5, EMPTY_SPEC, cli._SquareLines(5), jobs=jobs))
         assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_5_SHA256, jobs
-    auto = made[0]
-    assert len(auto.table) == 50
-    # texts are kept only beside stored entries
-    assert 0 < len(auto.texts) <= 50
-    assert set(auto.texts) <= set(auto.table)
+    assert len(made[0].table) == 50
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_enumerate_leaves_no_cycle_holding_its_table(monkeypatch, capsys, jobs):
-    # a call's Automata, row table and texts are freed by reference
+    # a call's Automata and row table are freed by reference
     # counting when the call returns, not at the next full collection; at
     # one job this process walks with them
     made = []
