@@ -27,7 +27,16 @@ Two engines expand the same keys:
   number of partial squares reaching it, each key is expanded once, and
   the count is the sum of the last layer.  Its nodes_explored is its own
   work, fill_row's nodes summed once per expanded key, the one counter
-  that WORK_BUDGET bounds.
+  that WORK_BUDGET bounds.  When only the columns carry patterns,
+  permuting the columns maps avoiders to avoiders, so a partial square's
+  completions depend only on the multiset of its column fields: the sweep
+  sorts each next key's fields (Automata.canon) and keeps one key per
+  column-order class.  A spec with patterns on the rows only, or on the
+  symbol lines only, is counted as its transpose or its conjugate, which
+  have them on the columns.  With no pattern this takes order 6 from
+  56,033,196 cell placements to 103,588 (0.09 s) and answers L7 in
+  16,610,304 (9 to 13 s on a 2-vCPU host).  Walks, and their sizing
+  sweeps, keep ordered keys.
 - The row walk (_walk) visits every square, for enumerate_squares (which
   analysis walks) and render_squares.  A square's last row is forced by
   the rows above it, so the walk steps through rows 0 to n - 3 only; each
@@ -78,7 +87,7 @@ from .square import (
 
 #: version of the engine's answers, nodes_explored included: cached counts
 #: are keyed by it, so a change to any answer must raise it
-ENGINE_VERSION = 5
+ENGINE_VERSION = 6
 
 #: highest order at which every search runs unsized
 UNSIZED_ORDER = 6
@@ -180,6 +189,15 @@ class _RowCells(dict):
         return value
 
 
+def _sort_columns(size: int, step: int, key: int) -> int:
+    # key's n column fields, step bytes each (size bytes in all), sorted so
+    # that the smallest is column 0: one key per column-order class
+    if step == 1:
+        return int.from_bytes(bytes(sorted(key.to_bytes(size, "little"))), "little")
+    data = key.to_bytes(size, "big")
+    return int.from_bytes(b"".join(sorted([data[i:i + step] for i in range(0, size, step)], reverse=True)), "big")
+
+
 class Automata:
     """
     One call's compiled search, shared by all of its first-row tasks: the
@@ -193,7 +211,11 @@ class Automata:
     search state between rows, packs every column's free-symbol mask and
     automaton state, width bits per column, into its low col_bits bits,
     and each symbol line's automaton state above them (sym_mask bits at the
-    shift sym_steps gives); root is the key before row 0.  The row table
+    shift sym_steps gives); root is the key before row 0.  canon is the
+    sweep's canonicaliser: None, the identity, unless canonical, which a
+    spec with no row or symbol pattern of length at most n allows; then it
+    sorts a key's column fields, padded to whole bytes (width a multiple
+    of 8), so the smallest is column 0.  The row table
     maps the key at the start of a row to one flat tuple (row, next, row,
     next, ...): each row fill_row let through from that key, in increasing
     order, with the key it leads to.  A key at row n - 2, the walk's last
@@ -209,7 +231,7 @@ class Automata:
     full table take about 28 MB.
     """
 
-    def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf):
+    def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf, canonical: bool = False):
         compiled: dict[tuple, PrefixAutomaton] = {}
         sides = []
         for patterns in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns):
@@ -218,10 +240,18 @@ class Automata:
                 compiled[short] = prefix_automaton(n, short, max_work=max_work)
             sides.append(compiled.get(short))
         row, col, self.sym = sides
+        if canonical and (row or self.sym):
+            raise ValueError("column order is a symmetry only of a spec with no row or symbol pattern")
         self.n = n
         self.row = row or _free_automaton(n)
         self.col = col or _free_automaton(n)
         self.width = n + (len(self.col.live) - 1).bit_length()
+        self.canon = None
+        if canonical:
+            # whole-byte fields, so the sort reads them as bytes
+            step = -(-self.width // 8)
+            self.width = 8 * step
+            self.canon = partial(_sort_columns, n * step, step)
         self.full = (1 << n) - 1
         self.col_bits = n * self.width
         column = (self.col.root << n) | self.full
@@ -308,10 +338,14 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     Count by the transfer-matrix method: (squares, nodes).  Layer i maps
     each key after i rows to the number of partial squares that reach it.
     Each key is expanded once by fill_row, and nodes sums those searches'
-    nodes: the sweep's own work.  A sized sweep raises FeasibilityError
-    once nodes pass WORK_BUDGET or a layer STATE_BUDGET keys.
+    nodes: the sweep's own work.  With auto.canon, each next key is
+    canonicalised before it joins its layer, so a layer holds one key per
+    column-order class and its value counts every partial square of the
+    class; a sweep without it adds each next key as it is.  A sized sweep
+    raises FeasibilityError once nodes pass WORK_BUDGET or a layer
+    STATE_BUDGET keys.
     """
-    n = auto.n
+    n, canon = auto.n, auto.canon
     layer = {auto.root: 1}
     nodes = 0
     for i in range(n):
@@ -320,7 +354,7 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
         for key, paths in layer.items():
             found = fill_row(auto, key)
             nodes += found[0]
-            for nxt in islice(found, 1, None):
+            for nxt in islice(found, 1, None) if canon is None else map(canon, islice(found, 1, None)):
                 after[nxt] = get(nxt, 0) + paths
             if sized and (nodes > WORK_BUDGET or len(after) > STATE_BUDGET):
                 raise FeasibilityError(
@@ -580,13 +614,33 @@ def default_split_depth(n: int) -> int:
     return n
 
 
+def _column_spec(n: int, spec: AvoidanceSpec) -> AvoidanceSpec | None:
+    """
+    A columns-only spec with spec's count at order n, when spec's patterns
+    of length at most n lie on one line family or none; else None.  A
+    rows-only spec counts as its transpose does, and a symbols-only spec
+    as the conjugate (r, c, s) -> (s, r, c) does, whose rows are spec's
+    symbol lines; either transform is a bijection on the order-n squares.
+    """
+    families = [short for side in (spec.row_patterns, spec.col_patterns, spec.symbol_patterns)
+                if (short := tuple(p for p in side if len(p) <= n))]
+    if len(families) > 1:
+        return None
+    return AvoidanceSpec(col_patterns=families[0] if families else ())
+
+
 def _sized_search(n: int, spec: AvoidanceSpec, force: bool, walk: bool, progress=None) -> tuple:
     """
     Every search's start: spec's automata at order n and, for a count or a
-    sized walk (must_size), the sweep's (squares, nodes), else None.
+    sized walk (must_size), the sweep's (squares, nodes), else None.  A
+    count whose spec reduces to columns only (_column_spec) sweeps that
+    spec over canonical keys; a walk, and its sizing sweep, keep ordered
+    keys, so squares come out in order and a walk is sized by its own tree.
     """
     sized = must_size(n, force)
-    auto = Automata(n, spec, WORK_BUDGET if sized else inf)
+    max_work = WORK_BUDGET if sized else inf
+    columns = None if walk else _column_spec(n, spec)
+    auto = Automata(n, spec, max_work) if columns is None else Automata(n, columns, max_work, canonical=True)
     return auto, _sweep(auto, progress, sized) if sized or not walk else None
 
 
@@ -599,11 +653,15 @@ def count_squares(
 ) -> CountResult:
     """
     Count order-n Latin squares satisfying the avoidance spec, by a forward
-    sweep over row layers in this process (_sweep), sized unless force.
+    sweep over row layers in this process (_sweep), sized unless force.  A
+    spec whose patterns of length at most n lie on one family, or none, is
+    swept as its columns-only form (_column_spec) over canonical keys, one
+    per column-order class; any other spec over ordered keys.
     nodes_explored is the sweep's work, the one figure WORK_BUDGET bounds:
     the cell placements that passed the occupancy masks, counted before the
     automaton check, summed once over each key the sweep expands.
-    progress(rows_done, rows_total, states) follows each row layer.
+    progress(rows_done, rows_total, states) follows each row layer, states
+    being the keys of that layer.
     """
     _, (count, nodes) = _sized_search(n, spec, force, walk=False, progress=progress)
     return CountResult(n, spec, count, nodes)

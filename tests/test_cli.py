@@ -70,7 +70,8 @@ def test_count_invalid_pattern(capsys):
 
 
 def test_count_feasibility_refusal(capsys):
-    code, _, err = run(capsys, "count", "--order", "7", "--jobs", "1")
+    # 1234 in rows and columns passes STATE_BUDGET in row 2 at order 7
+    code, _, err = run(capsys, "count", "--order", "7", "--avoid", "1234", "--jobs", "1")
     assert code == 3
     assert "bound" in err
 
@@ -81,10 +82,12 @@ def test_count_progress_lines(capsys):
     )
     assert code == 0
     events = [json.loads(line) for line in err.strip().splitlines()]
-    # one event per swept row; states counts the keys of that row's layer
+    # one event per swept row; states counts the keys of that row's layer,
+    # one per column-order class with no pattern: every first row leaves
+    # the same multiset of column fields, and so does every second row
     assert len(events) == 3
     assert events[-1]["rows_done"] == events[-1]["rows_total"] == 3
-    assert [e["states"] for e in events] == [6, 6, 1]
+    assert [e["states"] for e in events] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,18 +468,29 @@ def test_cache_entry_from_an_older_engine_is_recomputed(tmp_path, capsys):
     assert json.loads(out)["nodes_explored"] != 1
 
 
-def test_engine_4_count_entry_is_recomputed(tmp_path, capsys):
-    # engine 4 weighted each key's row search by the partial squares
-    # reaching it (93 nodes at order 3); engine 5 reports the sweep's work
+def _stale_engine_entry_is_recomputed(tmp_path, capsys, engine, nodes):
+    # an order-3 count stored by an older engine is recomputed, and the fresh
+    # entry is stored under the current engine and served from then on
     digest = hashlib.sha256(json.dumps(EMPTY_SPEC.to_dict(), sort_keys=True).encode()).hexdigest()
-    stale = {"count": 12, "nodes_explored": 93, "order": 3, "spec": EMPTY_SPEC.to_dict()}
-    cli.CacheStore(tmp_path).store({"engine": 4, "op": "count", "order": 3, "spec": digest}, stale)
+    stale = {"count": 12, "nodes_explored": nodes, "order": 3, "spec": EMPTY_SPEC.to_dict()}
+    cli.CacheStore(tmp_path).store({"engine": engine, "op": "count", "order": 3, "spec": digest}, stale)
     code, out, _ = run(capsys, "count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path))
     assert code == 0
-    assert json.loads(out)["nodes_explored"] == 75
-    # the fresh entry is stored under engine 5 and served from then on
+    assert json.loads(out)["nodes_explored"] == 25
     assert run(capsys, "count", "--order", "3", "--jobs", "1", "--cache-dir", str(tmp_path))[1] == out
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
+
+
+def test_engine_4_count_entry_is_recomputed(tmp_path, capsys):
+    # engine 4 weighted each key's row search by the partial squares
+    # reaching it (93 nodes at order 3)
+    _stale_engine_entry_is_recomputed(tmp_path, capsys, 4, 93)
+
+
+def test_engine_5_count_entry_is_recomputed(tmp_path, capsys):
+    # engine 5 swept ordered keys (75 nodes at order 3); engine 6 sweeps
+    # one key per column-order class (25 nodes)
+    _stale_engine_entry_is_recomputed(tmp_path, capsys, 5, 75)
 
 
 @pytest.mark.parametrize("key, argv", [
@@ -807,11 +821,11 @@ def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
 
 GOLDEN = {
     ("count", "--order", "3", "--format", "json"):
-        '{"count": 12, "nodes_explored": 75, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
+        '{"count": 12, "nodes_explored": 25, "order": 3, "spec": {"cols": [], "rows": [], "symbols": []}}\n',
     ("count", "--order", "3", "--format", "csv"):
-        "order,count,nodes_explored\n3,12,75\n",
+        "order,count,nodes_explored\n3,12,25\n",
     ("count", "--order", "3", "--format", "table"):
-        "count: 12\nnodes_explored: 75\norder: 3\nspec:\n  cols:\n  rows:\n  symbols:\n",
+        "count: 12\nnodes_explored: 25\norder: 3\nspec:\n  cols:\n  rows:\n  symbols:\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "json"):
         '{"classes": [{"count": 4, "patterns": ["123", "132", "213", "231", "312", "321"]}], '
         '"counts": {"123": 4, "132": 4, "213": 4, "231": 4, "312": 4, "321": 4}, '

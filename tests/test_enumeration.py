@@ -185,7 +185,7 @@ def test_parallel_count_matches_serial():
 
 
 @pytest.mark.parametrize("n,spec,cli_args,nodes", [
-    (4, EMPTY_SPEC, [], 1936),
+    (4, EMPTY_SPEC, [], 167),
     (5, AvoidanceSpec.both((1, 2, 3)), ["--avoid", "123"], 2528),
     (
         5,
@@ -202,11 +202,12 @@ def test_nodes_explored_same_for_library_jobs_and_cli(n, spec, cli_args, nodes, 
 
 
 # (count, (nodes_explored, first-row nodes)) at order 5: the sweep's
-# work, fill_row's nodes once per key it expands (ENGINE_VERSION 5); then
-# the nodes of the first row's own search
+# work, fill_row's nodes once per key it expands, over canonical keys for a
+# spec with patterns on one family or none (ENGINE_VERSION 6); then the
+# nodes of the first row's own search, from the ordered root
 ROWS_132_SYMBOLS_123 = AvoidanceSpec(row_patterns=((1, 3, 2),), symbol_patterns=((1, 2, 3),))
 GOLDEN_5 = [
-    (EMPTY_SPEC, 161280, (171265, 325)),
+    (EMPTY_SPEC, 161280, (2070, 325)),
     (AvoidanceSpec.both((1, 2, 3, 4)), 26928, (236226, 300)),
     (ROWS_132_SYMBOLS_123, 5, (4035, 165)),
 ]
@@ -221,11 +222,11 @@ GOLDEN_PREFIXES_5 = [
 
 # the same at order 4, from the same engine
 GOLDEN_4 = [
-    (EMPTY_SPEC, 576, (1936, 64)),
+    (EMPTY_SPEC, 576, (167, 64)),
     (AvoidanceSpec.both((1, 2, 3)), 4, (371, 48)),
-    (AvoidanceSpec.columns_only((2, 3, 1)), 24, (782, 64)),
-    (AvoidanceSpec.rows_only((1, 2)), 0, (13, 10)),
-    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (1216, 64)),
+    (AvoidanceSpec.columns_only((2, 3, 1)), 24, (93, 64)),
+    (AvoidanceSpec.rows_only((1, 2)), 0, (7, 10)),
+    (AvoidanceSpec(symbol_patterns=((1, 3, 2),)), 24, (90, 64)),
     (ROWS_132_SYMBOLS_123, 4, (462, 48)),
 ]
 
@@ -256,19 +257,39 @@ def test_golden_counts_and_nodes_order_4(spec, count, nodes):
 def test_sweep_matches_the_walk_from_the_root(n, spec, count, nodes):
     # walk the distinct keys each row reaches from the root, a set per row,
     # and recount the sweep's work: fill_row's nodes once per key, whatever
-    # number of partial squares reach it
-    auto = enumeration.Automata(n, spec)
+    # number of partial squares reach it; a spec with patterns on one
+    # family or none is walked as its columns-only form, each next key
+    # with its column fields sorted
+    columns = enumeration._column_spec(n, spec)
+    auto = enumeration.Automata(n, spec) if columns is None else enumeration.Automata(n, columns, canonical=True)
+    canon = auto.canon or (lambda key: key)
     keys, work = {auto.root}, 0
     for _ in range(n):
         after = set()
         for key in keys:
             found = fill_row(auto, key)
             work += found[0]
-            after.update(islice(found, 1, None))
+            after.update(map(canon, islice(found, 1, None)))
         keys = after
     result = count_squares(n, spec)
     assert (result.count, result.nodes_explored) == (count, nodes[0])
     assert work == nodes[0]
+
+
+def test_one_family_specs_reduce_to_columns_only():
+    # patterns longer than n are dropped first; a rows-only or symbols-only
+    # spec moves to the columns; a spec on two families keeps ordered keys,
+    # and canonical keys are refused for it
+    p, long = (1, 3, 2), (1, 2, 3, 4, 5)
+    cols = AvoidanceSpec.columns_only(p)
+    for spec in (cols, AvoidanceSpec.rows_only(p), AvoidanceSpec(symbol_patterns=(p,)),
+                 AvoidanceSpec(row_patterns=(long,), symbol_patterns=(p,))):
+        assert enumeration._column_spec(4, spec) == cols
+    assert enumeration._column_spec(4, AvoidanceSpec.rows_only(long)) == EMPTY_SPEC
+    for spec in (AvoidanceSpec.both(p), ROWS_132_SYMBOLS_123):
+        assert enumeration._column_spec(4, spec) is None
+        with pytest.raises(ValueError, match="symmetry"):
+            enumeration.Automata(4, spec, canonical=True)
 
 
 @pytest.mark.parametrize("spec,count,nodes", GOLDEN_5)
@@ -665,8 +686,9 @@ def test_first_row_walks_concatenate_to_the_whole(spec):
 # ---------------------------------------------------------------------------
 
 def test_unrestricted_bound_refusal(budgets):
-    with pytest.raises(FeasibilityError):
-        count_squares(7)
+    # 1234 in rows and columns passes STATE_BUDGET in row 2 at order 7
+    with pytest.raises(FeasibilityError, match="row 2"):
+        count_squares(7, AvoidanceSpec.both((1, 2, 3, 4)))
     # force lifts the sizing: with the budgets cut, a sized order-7 count is
     # refused and a forced one answers
     budgets(10_000)

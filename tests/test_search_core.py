@@ -1,20 +1,21 @@
 """
 The compiled prefix automata and the search that runs on them, against
 brute force: permutations filtered by naive containment, and the full
-enumeration filtered line by line; and symbol-line counts against the row
-counts they equal by conjugacy.
+enumeration filtered line by line; symbol-line counts against the row
+counts they equal by conjugacy; and counts over column-order classes
+against the plain sweep and brute force.
 """
 import itertools
 import json
 
 import pytest
 
-from latinpat import cli
+from latinpat import cli, enumeration
 from latinpat.enumeration import count_squares, enumerate_squares, render_squares
 from latinpat.perm import DEAD, FeasibilityError, prefix_automaton
 from latinpat.square import EMPTY_SPEC, AvoidanceSpec
 
-from conftest import S3, S4, monotone_pair, naive_contains, perms, reference_prefix_automaton
+from conftest import S3, S4, monotone_pair, naive_contains, naive_squares, perms, reference_prefix_automaton
 
 PATTERN_SETS = [(p,) for p in S3 + S4] + list(itertools.combinations(S3, 2))
 
@@ -153,7 +154,48 @@ def test_symbol_specs_equal_filtered_full_enumeration_order5():
 )
 def test_symbol_count_equals_row_count_of_conjugate(n, patterns):
     # a symbol line of a square is a row of one of its conjugates, and
-    # conjugation is a bijection on the order-n squares
+    # conjugation is a bijection on the order-n squares; count_squares
+    # takes this for granted, so the plain sweep checks it, stepping the
+    # symbol lines on one side and the row automaton on the other
     for p in patterns:
-        symbols = count_squares(n, AvoidanceSpec(symbol_patterns=(p,))).count
-        assert symbols == count_squares(n, AvoidanceSpec.rows_only(p)).count, (n, p)
+        rows = AvoidanceSpec.rows_only(p)
+        symbols = _plain_count(n, AvoidanceSpec(symbol_patterns=(p,)))
+        assert symbols == _plain_count(n, rows) == count_squares(n, rows).count, (n, p)
+
+
+def _plain_count(n, spec):
+    # the sweep over ordered keys of the spec as given
+    return enumeration._sweep(enumeration.Automata(n, spec), None, False)[0]
+
+
+# specs with patterns on one family or none, which count_squares sweeps as
+# their columns-only form over canonical keys
+ONE_FAMILY_SPECS = [EMPTY_SPEC] + [
+    spec
+    for p in S3 + [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (2, 4, 1, 3)]
+    for spec in (AvoidanceSpec.columns_only(p), AvoidanceSpec.rows_only(p), AvoidanceSpec(symbol_patterns=(p,)))
+]
+
+
+def _naive_count(n, spec):
+    # every order-n square, each line tested with naive_contains; symbol v's
+    # line maps each row index to the column holding v
+    def avoids(lines, patterns):
+        return not any(naive_contains(line, p) for line in lines for p in patterns)
+
+    return sum(
+        avoids(g, spec.row_patterns) and avoids(zip(*g), spec.col_patterns)
+        and avoids([tuple(row.index(v) + 1 for row in g) for v in range(1, n + 1)], spec.symbol_patterns)
+        for g in naive_squares(n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_count_equals_the_plain_sweep(n):
+    # the sweep over column-order classes against the sweep over ordered
+    # keys of the spec as given, and at n <= 4 against brute force
+    for spec in ONE_FAMILY_SPECS:
+        plain = _plain_count(n, spec)
+        assert count_squares(n, spec).count == plain, (n, spec)
+        if n <= 4:
+            assert plain == _naive_count(n, spec), (n, spec)
