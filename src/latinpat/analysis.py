@@ -289,7 +289,10 @@ def verify_full_length_counts(
     """
     Check, by exhaustive counts, that the column-only and row+column
     avoider counts of full-length patterns match their closed forms in terms
-    of the total count.
+    of the total count.  The row+column counts run first: rows and columns
+    together have no column symmetry for the sweep to divide out, so they
+    are the counts a sized search refuses, and a refusal comes before the
+    total and the column-only counts are spent (order 7: about 2 s, not 25).
     """
     if patterns is None:
         pats = [perm.identity(n)]
@@ -301,14 +304,14 @@ def verify_full_length_counts(
         if len(p) != n:
             raise ValueError(f"pattern {p} does not have full length {n}")
 
+    fulls = [count_squares(n, AvoidanceSpec.both(p)).count for p in pats]
     total = count_squares(n, EMPTY_SPEC).count
     expected_cols = column_avoider_count(n, total)
     expected_full = full_length_count(n, total)
     checks = []
     ok = True
-    for p in pats:
+    for p, full in zip(pats, fulls):
         ell = count_squares(n, AvoidanceSpec.columns_only(p)).count
-        full = count_squares(n, AvoidanceSpec.both(p)).count
         good = ell == expected_cols and full == expected_full
         ok = ok and good
         checks.append(

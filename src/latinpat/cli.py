@@ -310,12 +310,12 @@ class _SquareLines(dict):
     """
     The parts of an enumerate line, json.dumps(square_to_json(sq),
     sort_keys=True) and a newline: head, then each row's JSON text joined
-    by sep, then tail.  render_squares grows the text of a square's upper
-    rows once per row step and keeps the text of each ending, its last two
-    rows and the tail, so a line is one concatenation: the 161,280 lines
-    of order 5 take about 0.14 s at one job.  A row's text is made on
-    first lookup and kept in this dict, 120 of them at order 5 and 720 at
-    order 6.  Picklable, so a worker process renders its own tasks' lines
+    by sep, then tail.  render_squares grows the text of a square's rows
+    above the walk's leaf row once per row step and keeps the text of each
+    ending, its last two rows each after sep and then the tail, so a line
+    is one concatenation: the 161,280 lines of order 5 take about 0.09 s
+    at one job.  A row's text is made on first lookup and kept in this
+    dict, 120 of them at order 5 and 720 at order 6.  Picklable, so a worker process renders its own tasks' lines
     and keeps its copy of the texts across them.
     """
 

@@ -39,15 +39,18 @@ Two engines expand the same keys:
   sweeps, keep ordered keys.
 - The row walk (_walk) visits every square, for enumerate_squares (which
   analysis walks) and render_squares.  A square's last row is forced by
-  the rows above it, so the walk steps through rows 0 to n - 3 only; each
-  key it reaches at row n - 2 has a short list of endings, the (row n - 2,
-  row n - 1) pairs that complete it.  Its per-call row table keeps each
-  key's rows, decoded, and next keys, or what its consumer keeps of its
-  endings, so each key's row search runs once: render_squares keeps each
-  ending's finished text, so an output line is one concatenation, and at
-  order 5 with no patterns enumerate takes about 0.14 s at one job (0.31
-  s when each line was joined from its grid).  reduced_squares, which
-  feeds the Wilf filter, shares neither.
+  the rows above it, so the walk steps through rows 0 to n - 4 only and
+  yields once per key it reaches at row n - 3, its leaf row (row 0 at
+  orders 1 to 3); its consumer loops over that key's rows, each with the
+  endings of the key it leads to, the (row n - 2, row n - 1) pairs that
+  complete it.  Its per-call row table keeps one entry per key, so each
+  key's row search runs once, as in the sweep: above the leaf the key's
+  rows, decoded, and next keys; at the leaf its rows and their endings;
+  at row n - 2 what its consumer keeps of its endings; at row n - 1 its
+  forced last row.  render_squares keeps each ending's finished text, so
+  an output line is one concatenation, and at order 5 with no patterns
+  enumerate takes about 0.09 s at one job.  reduced_squares, which feeds
+  the Wilf filter, shares neither.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
@@ -99,8 +102,9 @@ WORK_BUDGET = 1 << 26
 #: most keys one row layer of a sized sweep may hold
 STATE_BUDGET = 1 << 20
 
-#: most keys one row walk's table stores (a few hundred bytes each); keys
-#: past it are searched, and their endings finished, again on every visit
+#: most keys one row walk's table stores (a few hundred bytes each), of
+#: every row, last rows included; keys past it are searched, and their
+#: endings finished, again on every visit
 ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
@@ -215,20 +219,26 @@ class Automata:
     sweep's canonicaliser: None, the identity, unless canonical, which a
     spec with no row or symbol pattern of length at most n allows; then it
     sorts a key's column fields, padded to whole bytes (width a multiple
-    of 8), so the smallest is column 0.  The row table
-    maps the key at the start of a row to one flat tuple (row, next, row,
-    next, ...): each row fill_row let through from that key, in increasing
-    order, with the key it leads to.  A key at row n - 2, the walk's last
-    (see _walk), maps instead to its endings as the walk's consumer keeps
-    them: a tuple of (row n - 2, row n - 1) tuples for enumerate_squares,
-    of their finished texts for render_squares; keys after it take no
-    entry.  _walk fills the table on first visit, up to ROW_TABLE_BUDGET
-    keys, and a first-row task picks its row out of the root's entry.
-    keys holds the one object kept for each distinct next key, and
-    row_cells[(key ^ next) & free_bits] the one tuple for each row.  At
-    order 5 with no patterns the table holds 4,201 keys in about 1.4 MB
-    (1.6 MB with render_squares's texts); at order 6 the 65,536 keys of a
-    full table take about 28 MB.
+    of 8), so the smallest is column 0.  The row table maps each key the
+    walk (see _walk) reaches to one entry, by the key's row: above row
+    n - 3, the walk's leaf, one flat tuple (row, next, row, next, ...),
+    each row fill_row let through from that key, in increasing order, with
+    the key it leads to; at the leaf, (row, endings, row, endings, ...),
+    each such row that some ending completes with the endings of the key
+    it leads to, as the walk's consumer keeps them; at row n - 2 (row 1
+    at orders 1 and 2) those endings, one tuple shared by every leaf entry
+    that leads there: of (row n - 2, row n - 1) tuples for
+    enumerate_squares, of their finished texts for render_squares; at row
+    n - 1, from order 3 up, the forced last row, or () when the automata
+    reject it.  Keys at different rows never collide, as each
+    column's free mask loses one bit per row.  _walk fills the table on
+    first visit, up to ROW_TABLE_BUDGET keys, and a first-row task picks
+    its row out of the root's entry.  keys holds the one object kept for
+    each distinct next key, and row_cells[(key ^ next) & free_bits] the one
+    tuple for each row.  At order 5 with no patterns the table holds 4,321
+    keys, the keys the ordered sweep expands, in about 1.4 MB (1.8 MB with
+    render_squares's texts); at order 6 a full table of 65,536 keys, with
+    render_squares's texts, grew the resident memory by about 37 MB.
     """
 
     def __init__(self, n: int, spec: AvoidanceSpec, max_work: float = inf, canonical: bool = False):
@@ -366,62 +376,91 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     return sum(layer.values()), nodes
 
 
-def _endings(auto: Automata, key: int) -> list[tuple[tuple[int, ...], ...]]:
-    """
-    Every way to fill the rest of the square after key, each as the tuple
-    of its rows, in increasing order.  The walk asks this only where at
-    most two rows are left, and the last row is forced, so there are few.
-    """
-    found = []
-    for nxt in islice(fill_row(auto, key), 1, None):
-        row = auto.row_cells[(key ^ nxt) & auto.free_bits]
-        if nxt & auto.free_bits:
-            found += [(row,) + rest for rest in _endings(auto, nxt)]
-        else:
-            found.append((row,))
-    return found
-
-
 def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Callable[[T, tuple], T],
-          finish: Callable[[list], tuple]) -> Iterator[tuple]:
+          finish: Callable[[list], tuple]) -> Iterator[tuple[T, tuple]]:
     """
     The row walk over auto's order and spec, the one search core of
-    enumerate_squares and render_squares.  It walks rows 0 to n - 3 and
-    yields (prefix, finish(endings)) at each key it reaches at row n - 2,
-    in lexicographic order: prefix is step(...step(prefix, row 0)..., row
-    n - 3), made once per row step, endings is _endings(auto, key), never
-    empty, and finish returns one item per ending.  At orders 1 and 2 the
-    yielding row is n - 1 instead, so a first-row task still picks its row
-    0 as a step.  With first_row given (a tuple), the walk is one
+    enumerate_squares and render_squares.  It steps through rows 0 to
+    leaf - 1, where leaf is row n - 3 (row 0 at orders 1 to 3), and yields
+    (prefix, entry) once for each key it reaches at row leaf, in
+    lexicographic order: prefix is step(...step(prefix, row 0)..., row
+    leaf - 1), made once per row step, and entry is (row, endings, row,
+    endings, ...), never empty: each row leaf that fill_row lets through
+    from the key and that some ending completes, in increasing order, with
+    finish(those endings).  An ending is the tuple of the rows after row
+    leaf, in increasing order: (row n - 2, row n - 1), or (row 1,) at order
+    2 and () at order 1.  With first_row given (a tuple), the walk is one
     first-row task and visits only the squares with that first row.  Walks
     that share auto share its row table, so they must share finish too.
 
     The walk keeps an explicit stack of one iterator of row positions per
-    row.  The first visit to a key stores its entry in the row table,
-    while it has room: above row n - 2 the rows fill_row finds and the
-    keys they lead to, at row n - 2 finish(endings).  Later visits loop
-    over the stored entry.
+    row above the leaf.  The first visit to a key stores its entry in the
+    row table, while the table has room: above row leaf the rows fill_row
+    finds and the keys they lead to, at row leaf the entry it yields, at
+    row leaf + 1 finish(endings), shared by every leaf entry that leads
+    there, and at row n - 1, below it, the forced last row, or () when the
+    automata reject it.  Later visits replay the stored entry, so while
+    the table has room fill_row runs once per key, once per key the
+    ordered sweep expands.
     """
     n = auto.n
-    last = n - 2 if n > 2 else n - 1
+    leaf = max(n - 3, 0)
     table, key_objs = auto.table, auto.keys
     cells_of, free_bits = auto.row_cells, auto.free_bits
 
-    prefixes = [prefix] * (last + 1)
+    def last_row(key: int) -> tuple[int, ...]:
+        # the forced row after a key at row n - 1, or () if none passes
+        row = table.get(key)
+        if row is None:
+            found = fill_row(auto, key)
+            row = cells_of[(key ^ found[1]) & free_bits] if len(found) > 1 else ()
+            if len(table) < ROW_TABLE_BUDGET:
+                table[key] = row
+        return row
+
+    def endings(key: int) -> tuple:
+        # finish(every ending of a key at row leaf + 1)
+        entry = table.get(key)
+        if entry is None:
+            if not key & free_bits:
+                # order 1: row 0 completed the square
+                found = [()]
+            else:
+                found = []
+                for nxt in islice(fill_row(auto, key), 1, None):
+                    row = cells_of[(key ^ nxt) & free_bits]
+                    if not nxt & free_bits:
+                        found.append((row,))
+                    elif last := last_row(nxt):
+                        found.append((row, last))
+            entry = finish(found)
+            if len(table) < ROW_TABLE_BUDGET:
+                table[key] = entry
+        return entry
+
+    prefixes = [prefix] * (leaf + 1)
     # entries[i], picks[i]: row i's table entry and an iterator of the
     # positions in it of the rows still to try
-    entries: list = [None] * last
-    picks: list = [None] * last
+    entries: list = [None] * leaf
+    picks: list = [None] * leaf
     i, key = 0, auto.root
     while i >= 0:
         if key is not None:
             # the walk has just reached row i at key
             entry = table.get(key)
-            if i == last:
+            if i == leaf:
                 if entry is None:
-                    entry = finish(_endings(auto, key))
+                    entry = []
+                    for nxt in islice(fill_row(auto, key), 1, None):
+                        if ends := endings(nxt):
+                            entry += (cells_of[(key ^ nxt) & free_bits], ends)
+                    entry = tuple(entry)
                     if len(table) < ROW_TABLE_BUDGET:
                         table[key] = entry
+                if not i and first_row is not None:
+                    # a first-row task at orders 1 to 3: that row's pair only
+                    k = entry.index(first_row) if first_row in entry else len(entry)
+                    entry = entry[k:k + 2]
                 if entry:
                     yield prefixes[i], entry
                 i, key = i - 1, None
@@ -459,9 +498,12 @@ def _run_search(auto: Automata, first_row: tuple[int, ...] | None = None) -> Ite
     The squares of the row walk (_walk) as grids, in lexicographic order;
     with first_row, those of that one first-row task.
     """
-    for grid, endings in _walk(auto, first_row, (), _add_row, tuple):
-        for ending in endings:
-            yield grid + ending
+    for grid, entry in _walk(auto, first_row, (), _add_row, tuple):
+        pairs = iter(entry)
+        for row, endings in zip(pairs, pairs):
+            upper = grid + (row,)
+            for ending in endings:
+                yield upper + ending
 
 
 #: most squares _render_worker renders into one piece of text: enough to
@@ -472,24 +514,27 @@ RENDER_PIECE_SQUARES = 10_000
 
 def _render_worker(first_row: tuple[int, ...], automata: Automata, render) -> Iterator[str]:
     # A line is its rows' texts joined by render.sep between render.head
-    # and render.tail.  The walk grows the text of rows 0 to n - 3 once per
-    # row step, and the table stores the text of each ending, rows n - 2
-    # and n - 1 and the tail, as the key's entry, so a line is one
+    # and render.tail.  The walk grows the text of the rows above its leaf
+    # row once per row step, and the table stores the text of each ending,
+    # each of its rows after render.sep and then the tail, so a line is one
     # concatenation.  Pieces are cut at exactly RENDER_PIECE_SQUARES lines.
     sep, tail = render.sep, render.tail
 
     def texts(endings: list) -> tuple[str, ...]:
-        return tuple(sep.join(map(render.__getitem__, ending)) + tail for ending in endings)
+        return tuple("".join([sep + render[row] for row in ending]) + tail for ending in endings)
 
     piece, room = [], RENDER_PIECE_SQUARES
-    for prefix, lines in _walk(automata, first_row, render.head, lambda text, row: text + render[row] + sep, texts):
-        while len(lines) >= room:
-            piece += (prefix, prefix.join(lines[:room]))
-            yield "".join(piece)
-            piece, lines, room = [], lines[room:], RENDER_PIECE_SQUARES
-        if lines:
-            piece += (prefix, prefix.join(lines))
-            room -= len(lines)
+    for prefix, entry in _walk(automata, first_row, render.head, lambda text, row: text + render[row] + sep, texts):
+        pairs = iter(entry)
+        for row, lines in zip(pairs, pairs):
+            upper = prefix + render[row]
+            while len(lines) >= room:
+                piece += (upper, upper.join(lines[:room]))
+                yield "".join(piece)
+                piece, lines, room = [], lines[room:], RENDER_PIECE_SQUARES
+            if lines:
+                piece += (upper, upper.join(lines))
+                room -= len(lines)
     if piece:
         yield "".join(piece)
 

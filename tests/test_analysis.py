@@ -20,7 +20,7 @@ from latinpat.cli import _lambda_csv, _wilf_csv, main
 from latinpat.construct import connolly_square
 from latinpat.enumeration import FeasibilityError, count_reduced_squares
 from latinpat.perm import longest_monotone
-from latinpat.square import LatinSquare, latin_square, max_monotone, square_to_json
+from latinpat.square import EMPTY_SPEC, AvoidanceSpec, LatinSquare, latin_square, max_monotone, square_to_json
 
 from conftest import (
     S3,
@@ -242,6 +242,34 @@ def test_verify_full_length_counts():
     check = r4["checks"][0]
     assert check["column_avoiders"] == 480
     assert check["full_avoiders"] == 400
+
+
+def test_verify_full_length_counts_rows_and_columns_first(monkeypatch, budgets):
+    # rows and columns together have no column symmetry for the sweep to
+    # divide out, so their counts are the ones a sized search refuses: they
+    # run before the total and the columns-only counts, and the report
+    # keeps its keys in their order
+    calls = []
+    count = analysis.count_squares
+
+    def recording(n, spec=EMPTY_SPEC, **kwargs):
+        calls.append((n, spec))
+        return count(n, spec, **kwargs)
+
+    monkeypatch.setattr(analysis, "count_squares", recording)
+    report = verify_full_length_counts(4)
+    p, q = (1, 2, 3, 4), (2, 1, 3, 4)
+    assert calls == [(4, AvoidanceSpec.both(p)), (4, AvoidanceSpec.both(q)), (4, EMPTY_SPEC),
+                     (4, AvoidanceSpec.columns_only(p)), (4, AvoidanceSpec.columns_only(q))]
+    assert list(report) == ["order", "total", "checks", "ok"]
+    assert list(report["checks"][0]) == ["pattern", "column_avoiders", "expected_column_avoiders",
+                                         "full_avoiders", "expected_full_avoiders", "ok"]
+    # a refusal comes from the first count, before the total is spent
+    calls.clear()
+    budgets(10_000)
+    with pytest.raises(FeasibilityError):
+        verify_full_length_counts(7)
+    assert calls == [(7, AvoidanceSpec.both(tuple(range(1, 8))))]
 
 
 def test_verify_full_length_rejects_short_pattern():

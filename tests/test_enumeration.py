@@ -674,11 +674,43 @@ def test_enumerate_squares_checks_at_the_call():
         enumerate_squares(4, first_row=(1, 2, 3))
 
 
-@pytest.mark.parametrize("spec", [EMPTY_SPEC, AvoidanceSpec.columns_only((1, 2, 3))], ids=["empty", "cols-123"])
+@pytest.mark.parametrize("spec", [EMPTY_SPEC, AvoidanceSpec.columns_only((1, 2, 3)), AvoidanceSpec.rows_only((1, 2, 3))],
+                         ids=["empty", "cols-123", "rows-123"])
 def test_first_row_walks_concatenate_to_the_whole(spec):
-    whole = list(enumerate_squares(4, spec))
-    by_first_row = [sq for row in perms(4) for sq in enumerate_squares(4, spec, first_row=row)]
-    assert by_first_row == whole
+    # the walk's leaf row is the root at orders 1 to 3, where a first-row
+    # task takes its row's pair out of the root's entry, or nothing when
+    # fill_row dropped the row (123 with rows-123 at order 3); an order-1
+    # ending is empty, so its text is the tail alone
+    for n in (1, 2, 3, 4):
+        whole = list(enumerate_squares(n, spec))
+        assert [sq.grid for sq in whole] == [g for g in naive_squares(n) if avoids_spec(latin_square(g), spec)]
+        by_first_row = [sq for row in perms(n) for sq in enumerate_squares(n, spec, first_row=row)]
+        assert by_first_row == whole, n
+        lines = cli._SquareLines(n)
+        for jobs in (1, 2):
+            assert "".join(render_squares(n, spec, lines, jobs=jobs)) == "".join(lines(sq.grid) for sq in whole), (n, jobs)
+
+
+@pytest.mark.parametrize("n,spec,count", [(n, EMPTY_SPEC, c) for n, c in ((1, 1), (2, 2), (3, 12))]
+                         + [(4, *g[:2]) for g in GOLDEN_4] + [(5, *g[:2]) for g in GOLDEN_5])
+def test_walk_searches_each_key_once(monkeypatch, n, spec, count):
+    # while its row table has room, a full walk runs fill_row once for each
+    # key it reaches, as often as the ordered sweep, which expands each key
+    # once: 4,321 times at order 5 with no pattern
+    calls = [0]
+    search = enumeration.fill_row
+
+    def counted(auto, key):
+        calls[0] += 1
+        return search(auto, key)
+
+    monkeypatch.setattr(enumeration, "fill_row", counted)
+    assert enumeration._sweep(enumeration.Automata(n, spec), None, False)[0] == count
+    swept, calls[0] = calls[0], 0
+    assert sum(1 for _ in _run_search(enumeration.Automata(n, spec))) == count
+    assert calls[0] == swept
+    if (n, spec) == (5, EMPTY_SPEC):
+        assert swept == 4321
 
 
 # ---------------------------------------------------------------------------
