@@ -27,7 +27,7 @@ import os
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__, analysis, construct, rectpat
 from .enumeration import (
@@ -71,28 +71,32 @@ def _is_grid(v) -> bool:
     )
 
 
-def _emit_table(obj, indent: str = "") -> None:
+def _table_lines(obj, indent: str = "") -> Iterator[str]:
     # keys in sorted order, as --format json and the cache store them, so a
-    # cache hit prints as its miss did
+    # cache hit prints as its miss did; each dict in a list opens with "- ",
+    # so one record's keys do not run into the next one's
     if isinstance(obj, dict):
         for k, v in sorted(obj.items()):
             if _is_grid(v):
-                sys.stdout.write(f"{indent}{k}:\n")
+                yield f"{indent}{k}:"
                 for row in v:
-                    sys.stdout.write(f"{indent}  {' '.join(str(x) for x in row)}\n")
+                    yield f"{indent}  {' '.join(str(x) for x in row)}"
             elif isinstance(v, (dict, list)):
-                sys.stdout.write(f"{indent}{k}:\n")
-                _emit_table(v, indent + "  ")
+                yield f"{indent}{k}:"
+                yield from _table_lines(v, indent + "  ")
             else:
-                sys.stdout.write(f"{indent}{k}: {v}\n")
+                yield f"{indent}{k}: {v}"
     elif isinstance(obj, list):
         for v in obj:
-            if isinstance(v, (dict, list)):
-                _emit_table(v, indent + "  ")
+            if isinstance(v, dict):
+                for j, line in enumerate(_table_lines(v, indent + "  ")):
+                    yield line if j else f"{indent}- {line[len(indent) + 2:]}"
+            elif isinstance(v, list):
+                yield from _table_lines(v, indent + "  ")
             else:
-                sys.stdout.write(f"{indent}- {v}\n")
+                yield f"{indent}- {v}"
     else:
-        sys.stdout.write(f"{indent}{obj}\n")
+        yield f"{indent}{obj}"
 
 
 def _emit(value: dict, fmt: str, csv: Callable[[dict], str] | None = None) -> None:
@@ -102,7 +106,7 @@ def _emit(value: dict, fmt: str, csv: Callable[[dict], str] | None = None) -> No
     elif fmt == "csv":
         sys.stdout.write(csv(value))
     else:
-        _emit_table(value)
+        sys.stdout.write("".join(line + "\n" for line in _table_lines(value)))
 
 
 def _count_csv(value: dict) -> str:
@@ -315,8 +319,9 @@ class _SquareLines(dict):
     ending, its last two rows each after sep and then the tail, so a line
     is one concatenation: the 161,280 lines of order 5 take about 0.09 s
     at one job.  A row's text is made on first lookup and kept in this
-    dict, 120 of them at order 5 and 720 at order 6.  Picklable, so a worker process renders its own tasks' lines
-    and keeps its copy of the texts across them.
+    dict, 120 of them at order 5 and 720 at order 6.  Picklable, so a
+    worker process renders its own tasks' lines and keeps its copy of the
+    texts across them.
     """
 
     head, sep = '{"grid": [', ", "

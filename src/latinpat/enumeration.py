@@ -43,14 +43,15 @@ Two engines expand the same keys:
   yields once per key it reaches at row n - 3, its leaf row (row 0 at
   orders 1 to 3); its consumer loops over that key's rows, each with the
   endings of the key it leads to, the (row n - 2, row n - 1) pairs that
-  complete it.  Its per-call row table keeps one entry per key, so each
-  key's row search runs once, as in the sweep: above the leaf the key's
-  rows, decoded, and next keys; at the leaf its rows and their endings;
-  at row n - 2 what its consumer keeps of its endings; at row n - 1 its
-  forced last row.  render_squares keeps each ending's finished text, so
-  an output line is one concatenation, and at order 5 with no patterns
-  enumerate takes about 0.09 s at one job.  reduced_squares, which feeds
-  the Wilf filter, shares neither.
+  complete it.  Its per-call row table keeps one entry per key, built by
+  one function (_entry), so each key's row search runs once, as in the
+  sweep: above the leaf the key's rows, decoded, and next keys; at the
+  leaf its rows and their endings; below it the rows that complete the
+  key, at row n - 2 as its consumer keeps its endings.  render_squares
+  keeps each ending's finished text, so an output line is one
+  concatenation, and at order 5 with no patterns enumerate takes about
+  0.09 s at one job.  reduced_squares, which feeds the Wilf filter,
+  shares neither.
 
 Candidate symbols are tried in increasing order, so squares are produced in
 lexicographic order of their row-major grids; counts are exact Python ints.
@@ -102,9 +103,10 @@ WORK_BUDGET = 1 << 26
 #: most keys one row layer of a sized sweep may hold
 STATE_BUDGET = 1 << 20
 
-#: most keys one row walk's table stores (a few hundred bytes each), of
-#: every row, last rows included; keys past it are searched, and their
-#: endings finished, again on every visit
+#: most keys one row walk's table stores (a few hundred bytes each), one
+#: per key fill_row runs on, last rows included; a key past it has its
+#: entry built again, row search and endings, on every visit, and interns
+#: no next key
 ROW_TABLE_BUDGET = 1 << 16
 
 T = TypeVar("T")
@@ -220,20 +222,16 @@ class Automata:
     spec with no row or symbol pattern of length at most n allows; then it
     sorts a key's column fields, padded to whole bytes (width a multiple
     of 8), so the smallest is column 0.  The row table maps each key the
-    walk (see _walk) reaches to one entry, by the key's row: above row
-    n - 3, the walk's leaf, one flat tuple (row, next, row, next, ...),
-    each row fill_row let through from that key, in increasing order, with
-    the key it leads to; at the leaf, (row, endings, row, endings, ...),
-    each such row that some ending completes with the endings of the key
-    it leads to, as the walk's consumer keeps them; at row n - 2 (row 1
-    at orders 1 and 2) those endings, one tuple shared by every leaf entry
-    that leads there: of (row n - 2, row n - 1) tuples for
-    enumerate_squares, of their finished texts for render_squares; at row
-    n - 1, from order 3 up, the forced last row, or () when the automata
-    reject it.  Keys at different rows never collide, as each
-    column's free mask loses one bit per row.  _walk fills the table on
-    first visit, up to ROW_TABLE_BUDGET keys, and a first-row task picks
-    its row out of the root's entry.  keys holds the one object kept for
+    walk (see _walk) reaches, but the complete square's, to its entry,
+    which _entry builds by the key's row on its first visit, up to
+    ROW_TABLE_BUDGET keys: above row n - 3, the walk's leaf, (row, next,
+    row, next, ...); at the leaf, (row, endings, row, endings, ...); at
+    row n - 2 (row 1 at order 2) those endings, one tuple shared by
+    every leaf entry that leads there: of (row n - 2, row n - 1) tuples
+    for enumerate_squares, of their finished texts for render_squares; at
+    row n - 1, from order 3 up, ((last row,),), or () when the automata
+    reject it.  Keys at different rows never collide, as each column's
+    free mask loses one bit per row.  keys holds the one object kept for
     each distinct next key, and row_cells[(key ^ next) & free_bits] the one
     tuple for each row.  At order 5 with no patterns the table holds 4,321
     keys, the keys the ordered sweep expands, in about 1.4 MB (1.8 MB with
@@ -376,6 +374,56 @@ def _sweep(auto: Automata, progress: Callable[[int, int, int], None] | None, siz
     return sum(layer.values()), nodes
 
 
+def _entry(auto: Automata, finish: Callable[[list], tuple], key: int, i: int) -> tuple:
+    """
+    The row table's entry for key, a key the row walk (_walk) reaches at
+    row i, stored in auto.table while the table has room.  The walk's leaf
+    is row n - 3 (row 0 at orders 1 to 3), and the entry is, by row:
+
+    - above the leaf, (row, next, row, next, ...): each row fill_row lets
+      through from key, in increasing order, with the key it leads to,
+      interned in auto.keys while the table has room;
+    - at the leaf, (row, endings, row, endings, ...): each such row that
+      some ending completes, with the endings of the key it leads to;
+    - below it, the key's completions, the tuples of rows i to n - 1, in
+      increasing order, that finish the square, as finish(completions) at
+      row leaf + 1, where they are the endings.
+
+    The complete square's key, at row n, has the one empty completion,
+    ((),), and no entry; at order 1, where leaf + 1 is n, finish([()]).
+    """
+    n, table = auto.n, auto.table
+    leaf = max(n - 3, 0)
+    if i == n:
+        return finish([()]) if i == leaf + 1 else ((),)
+    cells_of, free_bits = auto.row_cells, auto.free_bits
+    entry = []
+    if i < leaf:
+        for nxt in islice(fill_row(auto, key), 1, None):
+            entry += (cells_of[(key ^ nxt) & free_bits], nxt)
+        if len(table) < ROW_TABLE_BUDGET:
+            intern = auto.keys.setdefault
+            for k in range(1, len(entry), 2):
+                entry[k] = intern(entry[k], entry[k])
+    elif i == leaf:
+        for nxt in islice(fill_row(auto, key), 1, None):
+            endings = table[nxt] if nxt in table else _entry(auto, finish, nxt, i + 1)
+            if endings:
+                entry += (cells_of[(key ^ nxt) & free_bits], endings)
+    else:
+        for nxt in islice(fill_row(auto, key), 1, None):
+            row = (cells_of[(key ^ nxt) & free_bits],)
+            below = table[nxt] if nxt in table else _entry(auto, finish, nxt, i + 1)
+            for rest in below:
+                entry.append(row + rest)
+        if i == leaf + 1:
+            entry = finish(entry)
+    entry = tuple(entry)
+    if len(table) < ROW_TABLE_BUDGET:
+        table[key] = entry
+    return entry
+
+
 def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Callable[[T, tuple], T],
           finish: Callable[[list], tuple]) -> Iterator[tuple[T, tuple]]:
     """
@@ -384,106 +432,46 @@ def _walk(auto: Automata, first_row: tuple[int, ...] | None, prefix: T, step: Ca
     leaf - 1, where leaf is row n - 3 (row 0 at orders 1 to 3), and yields
     (prefix, entry) once for each key it reaches at row leaf, in
     lexicographic order: prefix is step(...step(prefix, row 0)..., row
-    leaf - 1), made once per row step, and entry is (row, endings, row,
-    endings, ...), never empty: each row leaf that fill_row lets through
-    from the key and that some ending completes, in increasing order, with
-    finish(those endings).  An ending is the tuple of the rows after row
-    leaf, in increasing order: (row n - 2, row n - 1), or (row 1,) at order
-    2 and () at order 1.  With first_row given (a tuple), the walk is one
-    first-row task and visits only the squares with that first row.  Walks
-    that share auto share its row table, so they must share finish too.
+    leaf - 1), made once per row step, and entry is the key's leaf entry
+    (see _entry), never empty: (row, endings, row, endings, ...), where an
+    ending is the tuple of the rows after row leaf, (row n - 2, row n - 1),
+    or (row 1,) at order 2 and () at order 1, and endings is finish(those
+    endings).  With first_row given (a tuple), the walk is one first-row
+    task and visits only the squares with that first row, picked out of
+    the root's entry.  Walks that share auto share its row table, so they
+    must share finish too.
 
-    The walk keeps an explicit stack of one iterator of row positions per
-    row above the leaf.  The first visit to a key stores its entry in the
-    row table, while the table has room: above row leaf the rows fill_row
-    finds and the keys they lead to, at row leaf the entry it yields, at
-    row leaf + 1 finish(endings), shared by every leaf entry that leads
-    there, and at row n - 1, below it, the forced last row, or () when the
-    automata reject it.  Later visits replay the stored entry, so while
-    the table has room fill_row runs once per key, once per key the
-    ordered sweep expands.
+    The walk keeps an explicit stack of one iterator of (row, next) pairs
+    per row above the leaf.  It looks each key it reaches up in the row
+    table and builds its entry (_entry) on a miss, so while the table has
+    room fill_row runs once per key, once per key the ordered sweep
+    expands.
     """
-    n = auto.n
-    leaf = max(n - 3, 0)
-    table, key_objs = auto.table, auto.keys
-    cells_of, free_bits = auto.row_cells, auto.free_bits
-
-    def last_row(key: int) -> tuple[int, ...]:
-        # the forced row after a key at row n - 1, or () if none passes
-        row = table.get(key)
-        if row is None:
-            found = fill_row(auto, key)
-            row = cells_of[(key ^ found[1]) & free_bits] if len(found) > 1 else ()
-            if len(table) < ROW_TABLE_BUDGET:
-                table[key] = row
-        return row
-
-    def endings(key: int) -> tuple:
-        # finish(every ending of a key at row leaf + 1)
-        entry = table.get(key)
-        if entry is None:
-            if not key & free_bits:
-                # order 1: row 0 completed the square
-                found = [()]
-            else:
-                found = []
-                for nxt in islice(fill_row(auto, key), 1, None):
-                    row = cells_of[(key ^ nxt) & free_bits]
-                    if not nxt & free_bits:
-                        found.append((row,))
-                    elif last := last_row(nxt):
-                        found.append((row, last))
-            entry = finish(found)
-            if len(table) < ROW_TABLE_BUDGET:
-                table[key] = entry
-        return entry
-
+    leaf = max(auto.n - 3, 0)
+    table = auto.table
     prefixes = [prefix] * (leaf + 1)
-    # entries[i], picks[i]: row i's table entry and an iterator of the
-    # positions in it of the rows still to try
-    entries: list = [None] * leaf
+    # picks[i]: an iterator of the (row, next) pairs of row i's entry still to try
     picks: list = [None] * leaf
     i, key = 0, auto.root
     while i >= 0:
         if key is not None:
             # the walk has just reached row i at key
-            entry = table.get(key)
+            entry = table[key] if key in table else _entry(auto, finish, key, i)
+            if not i and first_row is not None:
+                # a first-row task: that row's pair only, or none if fill_row dropped the row
+                k = entry.index(first_row) if first_row in entry else len(entry)
+                entry = entry[k:k + 2]
+            key = None
             if i == leaf:
-                if entry is None:
-                    entry = []
-                    for nxt in islice(fill_row(auto, key), 1, None):
-                        if ends := endings(nxt):
-                            entry += (cells_of[(key ^ nxt) & free_bits], ends)
-                    entry = tuple(entry)
-                    if len(table) < ROW_TABLE_BUDGET:
-                        table[key] = entry
-                if not i and first_row is not None:
-                    # a first-row task at orders 1 to 3: that row's pair only
-                    k = entry.index(first_row) if first_row in entry else len(entry)
-                    entry = entry[k:k + 2]
                 if entry:
                     yield prefixes[i], entry
-                i, key = i - 1, None
+                i -= 1
                 continue
-            if entry is None:
-                # [row, next, row, next, ...]
-                entry = []
-                for nxt in islice(fill_row(auto, key), 1, None):
-                    entry += (cells_of[(key ^ nxt) & free_bits], nxt)
-                if len(table) < ROW_TABLE_BUDGET:
-                    for k in range(1, len(entry), 2):
-                        entry[k] = key_objs.setdefault(entry[k], entry[k])
-                    entry = table[key] = tuple(entry)
-            if i or first_row is None:
-                picks[i] = iter(range(0, len(entry), 2))
-            else:
-                # a first-row task: that row only, or none if fill_row dropped it
-                picks[i] = iter((entry.index(first_row),) if first_row in entry else ())
-            entries[i], key = entry, None
-        entry = entries[i]
-        for k in picks[i]:
-            prefixes[i + 1] = step(prefixes[i], entry[k])
-            i, key = i + 1, entry[k + 1]
+            pairs = iter(entry)
+            picks[i] = zip(pairs, pairs)
+        for row, key in picks[i]:
+            prefixes[i + 1] = step(prefixes[i], row)
+            i += 1
             break
         else:
             i -= 1

@@ -816,7 +816,7 @@ def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # stdout goldens, recorded before the renderers were merged; tables since
-# walk every dict in sorted key order
+# walk every dict in sorted key order and open each dict in a list with "- "
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
@@ -833,10 +833,18 @@ GOLDEN = {
     ("wilf", "--length", "3", "--order", "4", "--format", "csv"):
         "pattern,count,class_id\n123,4,1\n132,4,1\n213,4,1\n231,4,1\n312,4,1\n321,4,1\n",
     ("wilf", "--length", "3", "--order", "4", "--format", "table"):
-        "classes:\n    count: 4\n    patterns:\n"
+        "classes:\n  - count: 4\n    patterns:\n"
         "      - 123\n      - 132\n      - 213\n      - 231\n      - 312\n      - 321\n"
         "counts:\n  123: 4\n  132: 4\n  213: 4\n  231: 4\n  312: 4\n  321: 4\n"
         "mode: filter\nnum_classes: 1\norder: 4\npattern_length: 3\n",
+    # each record of a list opens with "- ", so the two checks stand apart
+    ("verify", "theorem6", "--order", "3", "--format", "table"):
+        "checks:\n"
+        "  - column_avoiders: 6\n    expected_column_avoiders: 6\n    expected_full_avoiders: 3\n"
+        "    full_avoiders: 3\n    ok: True\n    pattern: 123\n"
+        "  - column_avoiders: 6\n    expected_column_avoiders: 6\n    expected_full_avoiders: 3\n"
+        "    full_avoiders: 3\n    ok: True\n    pattern: 213\n"
+        "ok: True\norder: 3\ntotal: 12\n",
     ("lambda", "--order", "3", "--exhaustive", "--format", "json"):
         '{"exact_value": 3, "lower_bound": 2, "method": "exhaustive", "order": 3, '
         '"witness": {"grid": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "order": 3}, "witness_cap": 3}\n',

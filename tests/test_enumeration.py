@@ -393,16 +393,19 @@ def test_one_row_table_per_call(monkeypatch):
     assert made == []
 
 
-def test_row_table_budget_keeps_answers(monkeypatch):
+@pytest.mark.parametrize("budget", [0, 1, 50])
+def test_row_table_budget_keeps_answers(monkeypatch, budget):
     # states past the budget are searched again on each visit, not stored,
-    # and the walk yields the same squares in the same order
+    # and the walk yields the same squares in the same order; a budget of 0
+    # stores no entry and interns no next key
     spec, count, _ = GOLDEN_5[1]
     uncapped = list(_run_search(enumeration.Automata(5, spec)))
     assert len(uncapped) == count
-    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
+    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", budget)
     automata = enumeration.Automata(5, spec)
     assert list(_run_search(automata)) == uncapped
-    assert len(automata.table) == 50
+    assert len(automata.table) == budget
+    assert bool(automata.keys) == bool(budget)
 
 
 def test_parallel_enumerate_order(squares4):
@@ -427,7 +430,8 @@ def test_render_squares_yields_bounded_pieces(monkeypatch):
     assert hashlib.sha256("".join(pieces).encode()).hexdigest() == ENUMERATE_5_SHA256
 
 
-def test_capped_row_table_renders_the_same_bytes(monkeypatch):
+@pytest.mark.parametrize("budget", [0, 1, 50])
+def test_capped_row_table_renders_the_same_bytes(monkeypatch, budget):
     # keys past the budget have their entries, ending texts included, made
     # again on every visit, and the lines come out the same at any jobs
     made = []
@@ -438,11 +442,12 @@ def test_capped_row_table_renders_the_same_bytes(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(enumeration, "Automata", Recording)
-    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", 50)
+    monkeypatch.setattr(enumeration, "ROW_TABLE_BUDGET", budget)
     for jobs in (1, 2):
         text = "".join(render_squares(5, EMPTY_SPEC, cli._SquareLines(5), jobs=jobs))
         assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_5_SHA256, jobs
-    assert len(made[0].table) == 50
+    assert len(made[0].table) == budget
+    assert bool(made[0].keys) == bool(budget)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -696,7 +701,8 @@ def test_first_row_walks_concatenate_to_the_whole(spec):
 def test_walk_searches_each_key_once(monkeypatch, n, spec, count):
     # while its row table has room, a full walk runs fill_row once for each
     # key it reaches, as often as the ordered sweep, which expands each key
-    # once: 4,321 times at order 5 with no pattern
+    # once: 4,321 times at order 5 with no pattern; its table holds one
+    # entry per key fill_row ran on, none for the complete square's key
     calls = [0]
     search = enumeration.fill_row
 
@@ -707,8 +713,10 @@ def test_walk_searches_each_key_once(monkeypatch, n, spec, count):
     monkeypatch.setattr(enumeration, "fill_row", counted)
     assert enumeration._sweep(enumeration.Automata(n, spec), None, False)[0] == count
     swept, calls[0] = calls[0], 0
-    assert sum(1 for _ in _run_search(enumeration.Automata(n, spec))) == count
+    auto = enumeration.Automata(n, spec)
+    assert sum(1 for _ in _run_search(auto)) == count
     assert calls[0] == swept
+    assert len(auto.table) == swept
     if (n, spec) == (5, EMPTY_SPEC):
         assert swept == 4321
 
